@@ -21,13 +21,13 @@ summation in the tests.
 
 The parameter gradient folds the same way through a K x dim(theta) matrix U
 whose carried part is averaged at the summed-over previous state, mirroring
-V.  An alternative propagation that carries the summary at the terminal
-index instead is kept behind a flag for reference; it does not pass the
-finite-difference oracle.
+V.
 
 Cost per fold step is O(K^2 * dim(theta)), independent of tau, which is the
 whole point: the learner carries (V, U) across observations instead of
-recomputing the fold.
+recomputing the fold.  The fold step's arithmetic lives in kernel.fold_step;
+the functions here check the horizon and the observation around it, and
+recompute everything from scratch as the audit path.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ from .model import (
     ModelParams,
     StateSpace,
     _check_values,
+    log_softmax,
     log_softmax_row,
-    softmax_row,
 )
+from .kernel import fold_step, u_fresh
 from .mfa import MfaHistory
 
 
@@ -119,46 +120,14 @@ class PsiGradient:
 # -- carried summaries --------------------------------------------------------
 
 @dataclass(frozen=True)
-class VSummary:
-    """Carried objective summary: the K-vector V at time t."""
-
-    values: np.ndarray
-    t: int
-
-
-@dataclass(frozen=True)
-class USummary:
-    """Carried gradient summary: K rows of dense theta gradients at time t."""
-
-    values: np.ndarray  # (K, K*M + K*K)
-    t: int
-
-
-@dataclass(frozen=True)
 class ElboSummaries:
-    """The (V, U) pair carried between time steps by the streaming learner."""
+    """The (V, U) pair at time t, carried between time steps by the
+    streaming learner: the K-vector V and K rows U of dense theta
+    gradients."""
 
-    v: VSummary
-    u: USummary
-
-
-def _u_fresh(hmm: GenerativeHMM, w: np.ndarray, o_idx: int) -> np.ndarray:
-    """Dense fresh-step gradient rows, one per terminal state l.
-
-    Emission part: row l of dalpha gets onehot(o) - A[l].  Transition part:
-    row k of dbeta gets w(k) (onehot(l) - B[k]).  Pinned columns zeroed:
-    that is the free-coordinate projection, by exclusion not subtraction.
-    """
-    K, M = hmm.K, hmm.M
-    fa = np.zeros((K, K, M))
-    eo = np.zeros(M)
-    eo[o_idx] = 1.0
-    idx = np.arange(K)
-    fa[idx, idx, :] = eo[None, :] - hmm.A
-    fb = w[None, :, None] * (np.eye(K)[:, None, :] - hmm.B[None, :, :])
-    fa[:, :, 0] = 0.0
-    fb[:, :, 0] = 0.0
-    return np.concatenate([fa.reshape(K, -1), fb.reshape(K, -1)], axis=1)
+    v: np.ndarray
+    u: np.ndarray  # (K, K*M + K*K)
+    t: int
 
 
 def base_summaries(hmm: GenerativeHMM, history: MfaHistory, o1: int) -> ElboSummaries:
@@ -168,45 +137,31 @@ def base_summaries(hmm: GenerativeHMM, history: MfaHistory, o1: int) -> ElboSumm
         raise ConstraintError(f"observation values must lie in 1..{hmm.M}")
     log_pi1 = log_softmax_row(history.superseded_logits(1))
     v = hmm.log_mu() + hmm.log_A[:, o_idx] - log_pi1
-    K, M = hmm.K, hmm.M
-    u = np.zeros((K, K * M + K * K))
-    fa = np.zeros((K, K, M))
-    eo = np.zeros(M)
-    eo[o_idx] = 1.0
-    idx = np.arange(K)
-    fa[idx, idx, :] = eo[None, :] - hmm.A
-    fa[:, :, 0] = 0.0
-    u[:, : K * M] = fa.reshape(K, -1)
-    return ElboSummaries(v=VSummary(values=v, t=1),
-                         u=USummary(values=u, t=1))
+    # no transition precedes time 1: zero weights leave the emission rows
+    u = u_fresh(hmm.A, hmm.B, np.zeros(hmm.K), o_idx)
+    return ElboSummaries(v=v, u=u, t=1)
 
 
 def _step_blocks(history: MfaHistory, t: int) -> tuple:
     """(log revision marginal, log current marginal, log superseded
     marginal of t-1) for fold step t >= 2."""
     prev_rev, curr = history._snapshots[t - 1]
-    return (log_softmax_row(prev_rev), log_softmax_row(curr),
-            log_softmax_row(history.superseded_logits(t - 1)))
+    # history blocks are validated when they are stored
+    return tuple(log_softmax(np.array(
+        [prev_rev, curr, history.superseded_logits(t - 1)])))
 
 
 def step_summaries(prev: ElboSummaries, hmm: GenerativeHMM, history: MfaHistory,
-                   t: int, o_t: int, variant_carry_terminal: bool = False) -> ElboSummaries:
+                   t: int, o_t: int) -> ElboSummaries:
     """One fold step: advance (V, U) from time t-1 to time t."""
-    if prev.v.t != t - 1:
-        raise ConstraintError(f"summaries are at t = {prev.v.t}, expected {t - 1}")
+    if prev.t != t - 1:
+        raise ConstraintError(f"summaries are at t = {prev.t}, expected {t - 1}")
     o_idx = int(o_t) - 1
     if not 0 <= o_idx < hmm.M:
         raise ConstraintError(f"observation values must lie in 1..{hmm.M}")
-    log_w, log_curr, log_sup = _step_blocks(history, t)
-    w = np.exp(log_w)
-    base = float(w @ (prev.v.values + log_sup - log_w))
-    v = base + w @ hmm.log_B + hmm.log_A[:, o_idx] - log_curr
-    fresh = _u_fresh(hmm, w, o_idx)
-    if variant_carry_terminal:
-        u = prev.u.values + fresh
-    else:
-        u = (w @ prev.u.values)[None, :] + fresh
-    return ElboSummaries(v=VSummary(values=v, t=t), u=USummary(values=u, t=t))
+    v, u = fold_step(prev.v, prev.u, *_step_blocks(history, t),
+                     hmm.A, hmm.B, hmm.log_A, hmm.log_B, o_idx)
+    return ElboSummaries(v=v, u=u, t=t)
 
 
 def streaming_update_summaries(prev: ElboSummaries, observation: int,
@@ -223,22 +178,20 @@ def streaming_update_summaries(prev: ElboSummaries, observation: int,
 
 def finish(summaries: ElboSummaries, history: MfaHistory) -> float:
     """Contract a summary against the newest marginal: L = pi_tau . V_tau."""
-    if summaries.v.t != history.horizon:
+    if summaries.t != history.horizon:
         raise ConstraintError("summaries are not at the current horizon")
-    return float(history.belief(history.horizon) @ summaries.v.values)
+    return float(history.belief(history.horizon) @ summaries.v)
 
 
 def scratch_summaries(hmm: GenerativeHMM, history: MfaHistory,
-                      observations: Sequence[int],
-                      variant_carry_terminal: bool = False) -> ElboSummaries:
+                      observations: Sequence[int]) -> ElboSummaries:
     """Recompute the whole fold from t = 1 at the current parameters."""
     o = _check_values(observations, hmm.M, "observation")
     if o.shape[0] != history.horizon:
         raise ConstraintError("need exactly one observation per time step")
     s = base_summaries(hmm, history, int(o[0]) + 1)
     for t in range(2, history.horizon + 1):
-        s = step_summaries(s, hmm, history, t, int(o[t - 1]) + 1,
-                           variant_carry_terminal=variant_carry_terminal)
+        s = step_summaries(s, hmm, history, t, int(o[t - 1]) + 1)
     return s
 
 
@@ -258,17 +211,16 @@ def v_term(hmm: GenerativeHMM, m_table: np.ndarray, k: int, l: int, o_t: int) ->
 
 def elbo_recursive(hmm: GenerativeHMM, history: MfaHistory,
                    observations: Sequence[int]) -> tuple:
-    """Objective value at the current horizon, plus the final V summary."""
+    """Objective value at the current horizon, plus the final summaries."""
     s = scratch_summaries(hmm, history, observations)
-    return finish(s, history), s.v
+    return finish(s, history), s
 
 
-def grad_theta(hmm: GenerativeHMM, history: MfaHistory, observations: Sequence[int],
-               variant_carry_terminal: bool = False) -> ThetaGrad:
+def grad_theta(hmm: GenerativeHMM, history: MfaHistory,
+               observations: Sequence[int]) -> ThetaGrad:
     """Exact parameter gradient of elbo_recursive at the current theta."""
-    s = scratch_summaries(hmm, history, observations,
-                          variant_carry_terminal=variant_carry_terminal)
-    dense = history.belief(history.horizon) @ s.u.values
+    s = scratch_summaries(hmm, history, observations)
+    dense = history.belief(history.horizon) @ s.u
     K, M = hmm.K, hmm.M
     return ThetaGrad(dalpha=dense[: K * M].reshape(K, M),
                      dbeta=dense[K * M:].reshape(K, K))
@@ -355,7 +307,7 @@ def grad_psi(hmm: GenerativeHMM, history: MfaHistory,
         return PsiGradient(prev_block=None, curr_block=g)
     prefix = history_prefix(history)
     s = scratch_summaries(hmm, prefix, [int(x) + 1 for x in o[:-1]])
-    W, G = step_inputs(hmm, s.v.values, history, int(o[-1]) + 1)
+    W, G = step_inputs(hmm, s.v, history, int(o[-1]) + 1)
     rho_prev, rho_curr = history.updatable_logits()
     ga, gb = local_psi_gradient(W, G, rho_prev, rho_curr)
     return PsiGradient(prev_block=ga, curr_block=gb)

@@ -5,6 +5,11 @@ two updatable belief blocks, then a fixed budget on the model parameters
 (using the just-updated beliefs), then advance the carried (V, U) summaries
 and append a trace record.  Per-observation cost is constant in the horizon.
 
+The two ascent loops run in kernel on plain arrays.  This module hands them
+inputs taken from the validated state and validates what comes back once
+per observation: the belief blocks through MfaHistory.set_updatable, the
+parameters through ModelParams and build_hmm.
+
 The carried summaries absorb each time step's terms at the parameter values
 in effect when the step was folded in.  That staleness is the price of the
 constant-cost contract; with parameter updates disabled the carried values
@@ -16,13 +21,15 @@ audit path.
 from __future__ import annotations
 
 import itertools
+import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from . import elbo as elbo_mod
+from . import kernel
 from .mfa import MfaFamily, MfaHistory, augment
 from .model import ConstraintError, GenerativeHMM, ModelParams, build_hmm
 from .oracle import forward_filter
@@ -48,39 +55,13 @@ class Schedule:
     line_search: bool = False
 
     def __post_init__(self):
-        if self.psi_updates_per_obs < 0 or self.theta_updates_per_obs < 0:
-            raise ConstraintError("update counts must be >= 0")
+        for n in (self.psi_updates_per_obs, self.theta_updates_per_obs):
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) \
+                    or n < 0:
+                raise ConstraintError("update counts must be integers >= 0")
         for s in (self.psi_step, self.theta_step):
             if not (np.isfinite(s) and s > 0.0):
                 raise ConstraintError("step sizes must be positive reals")
-
-
-def ascent_step(x: np.ndarray, gradient: np.ndarray, step: float,
-                line_search: bool = False, objective=None) -> tuple:
-    """x + step * gradient, optionally backtracking.
-
-    With line_search, the step is halved (at most 20 times) until the
-    objective does not decrease beyond rounding; on exhaustion the old x is
-    kept and the step reported as stalled.  A non-finite gradient always
-    stalls; nothing is clipped.
-    """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(gradient, dtype=float)
-    if not np.all(np.isfinite(g)):
-        return x, True
-    if not line_search:
-        return x + step * g, False
-    if objective is None:
-        raise ConstraintError("line_search needs an objective")
-    f0 = objective(x)
-    slack = 1e-12 * max(1.0, abs(f0))
-    s = step
-    for _ in range(21):
-        xn = x + s * g
-        if objective(xn) >= f0 - slack:
-            return xn, False
-        s *= 0.5
-    return x, True
 
 
 @dataclass
@@ -193,75 +174,33 @@ def _psi_phase(state: LearnerState, o: int) -> int:
     """Ascent on the updatable blocks; returns applied update count."""
     sched = state.schedule
     hist = state.history
-    decoupled = state.family is MfaFamily.FULLY_DECOUPLED
-    applied = 0
-    if state.tau == 1:
-        base = state.hmm.log_mu() + state.hmm.log_A[:, o - 1]
-        b = hist.superseded_logits(1).copy()
-        for _ in range(sched.psi_updates_per_obs):
-            g = elbo_mod.local_psi_gradient_first(base, b)
-            b, stalled = ascent_step(
-                b, g, sched.psi_step, sched.line_search,
-                objective=lambda x: elbo_mod.local_elbo_first(base, x))
-            if stalled:
-                state.stalls_total += 1
-                break
-            applied += 1
-        b[0] = 0.0
-        hist.set_updatable(rho_curr=b)
-        return applied
-    if decoupled:
-        W = _decoupled_W(state)
-    else:
-        W, _ = elbo_mod.step_inputs(state.hmm, state.summaries.v.values, hist, o)
-    G = state.hmm.log_B + state.hmm.log_A[:, o - 1][None, :]
-    a, b = (x.copy() for x in hist.updatable_logits())
-    K = a.shape[0]
-
-    def objective(x):
-        if decoupled:
-            return _decoupled_local(W, G, x[:K], x[K:])
-        return elbo_mod.local_elbo(W, G, x[:K], x[K:])
-
-    x = np.concatenate([a, b])
-    for _ in range(sched.psi_updates_per_obs):
-        ga, gb = elbo_mod.local_psi_gradient(W, G, x[:K], x[K:],
-                                             double_prev_entropy=decoupled)
-        x, stalled = ascent_step(x, np.concatenate([ga, gb]), sched.psi_step,
-                                 sched.line_search, objective=objective)
-        if stalled:
-            state.stalls_total += 1
-            break
-        applied += 1
-    x[0] = 0.0
-    x[K] = 0.0
-    hist.set_updatable(rho_prev=x[:K], rho_curr=x[K:])
-    return applied
-
-
-def _decoupled_W(state: LearnerState) -> np.ndarray:
-    """Fresh-neighbour content for the revision block under the pairwise
-    objective: the time tau-1 term's dependence on its own marginal."""
-    hist = state.history
     hmm = state.hmm
-    o_prev = state.observations[-2] - 1
-    if state.tau == 2:
-        return hmm.log_mu() + hmm.log_A[:, o_prev]
-    older = hist.belief(state.tau - 2)
-    return older @ hmm.log_B + hmm.log_A[:, o_prev]
-
-
-def _decoupled_local(W, G, rho_prev, rho_curr) -> float:
-    log_pa = elbo_mod.log_softmax_row(rho_prev)
-    log_pb = elbo_mod.log_softmax_row(rho_curr)
-    pa, pb = np.exp(log_pa), np.exp(log_pb)
-    return float(pa @ (W - 2.0 * log_pa) + pa @ G @ pb - pb @ log_pb)
+    ent = 1.0
+    if state.tau == 1:
+        W, G = hmm.log_mu() + hmm.log_A[:, o - 1], None
+    elif state.family is MfaFamily.FULLY_DECOUPLED:
+        # the revision block's own pairwise term, with its fresh neighbour
+        W, ent = _pair_content(state, state.tau - 1)[0], 2.0
+        G = hmm.log_B + hmm.log_A[:, o - 1][None, :]
+    else:
+        W, G = elbo_mod.step_inputs(hmm, state.summaries.v, hist, o)
+    x = np.array([b for b in hist.updatable_logits() if b is not None])
+    x, applied, stalled = kernel.psi_ascent(
+        x, W, G, ent, sched.psi_updates_per_obs, sched.psi_step,
+        sched.line_search)
+    state.stalls_total += stalled
+    if state.tau == 1:
+        hist.set_updatable(rho_curr=x[0])
+    else:
+        hist.set_updatable(rho_prev=x[0], rho_curr=x[1])
+    return applied
 
 
 def _theta_phase(state: LearnerState, o: int) -> int:
     """Ascent on the parameters using the just-updated beliefs; the carried
     gradient rows are contracted once, the fresh final-step part tracks the
-    moving parameters."""
+    moving parameters.  The parameters are validated and the model rebuilt
+    once, when the loop exits."""
     sched = state.schedule
     if sched.theta_updates_per_obs == 0:
         return 0
@@ -272,111 +211,46 @@ def _theta_phase(state: LearnerState, o: int) -> int:
         pa = None
         ubar = np.zeros(K * M + K * K)
     else:
-        pa = elbo_mod.softmax_row(hist.updatable_logits()[0])
-        ubar = pa @ state.summaries.u.values
-    eo = np.zeros(M)
-    eo[o - 1] = 1.0
-    applied = 0
-    params = state.params
-    hmm = state.hmm
+        pa = hist.belief(state.tau - 1)
+        ubar = pa @ state.summaries.u
 
-    def fresh_grad(h: GenerativeHMM) -> elbo_mod.ThetaGrad:
-        da = pb[:, None] * (eo[None, :] - h.A)
-        if pa is None:
-            db = np.zeros((K, K))
-        else:
-            db = pa[:, None] * (pb[None, :] - h.B)
-        da[:, 0] = 0.0
-        db[:, 0] = 0.0
-        return elbo_mod.ThetaGrad(dalpha=da, dbeta=db)
-
-    def objective_of(vec_params: ModelParams) -> float:
+    def objective(theta: np.ndarray) -> float:
         # the full fold at the candidate parameters: O(tau) per evaluation,
         # paid only when line_search monitors the true objective
-        h = build_hmm(state.mu, vec_params)
+        h = build_hmm(state.mu, ModelParams(*kernel.theta_rows(theta, K, M)))
         s = elbo_mod.scratch_summaries(h, hist, state.observations)
         return elbo_mod.finish(s, hist)
 
-    eff_step = sched.theta_step / state.tau
-    for _ in range(sched.theta_updates_per_obs):
-        fresh = fresh_grad(hmm)
-        dense = ubar + fresh.dense_vector()
-        if not np.all(np.isfinite(dense)):
-            state.stalls_total += 1
-            break
-        grad = elbo_mod.ThetaGrad(dalpha=dense[: K * M].reshape(K, M),
-                                  dbeta=dense[K * M:].reshape(K, K))
-        if sched.line_search:
-            f0 = objective_of(params)
-            slack = 1e-12 * max(1.0, abs(f0))
-            s = eff_step
-            accepted = False
-            for _ in range(21):
-                cand = elbo_mod.apply_theta_step(params, grad, s)
-                if objective_of(cand) >= f0 - slack:
-                    params = cand
-                    accepted = True
-                    break
-                s *= 0.5
-            if not accepted:
-                state.stalls_total += 1
-                break
-        else:
-            params = elbo_mod.apply_theta_step(params, grad, eff_step)
-        hmm = build_hmm(state.mu, params)
-        applied += 1
-    state.params = params
-    state.hmm = hmm
+    theta = np.concatenate([state.params.alpha_tilde.ravel(),
+                            state.params.beta_tilde.ravel()])
+    theta, applied, stalled = kernel.theta_ascent(
+        theta, ubar, pa, pb, o - 1, sched.theta_updates_per_obs,
+        sched.theta_step / state.tau, sched.line_search, objective)
+    state.stalls_total += stalled
+    if applied:
+        state.params = ModelParams(*kernel.theta_rows(theta, K, M))
+        state.hmm = build_hmm(state.mu, state.params)
     return applied
 
 
-def _hat_term_tail(state: LearnerState) -> float:
-    """Last two terms of the pairwise objective at the current blocks."""
-    hist = state.history
-    hmm = state.hmm
-    o = state.observations[-1] - 1
-    pb = hist.belief(state.tau)
-    log_pb = np.log(pb)
-    if state.tau == 1:
-        return float(pb @ (hmm.log_mu() + hmm.log_A[:, o] - log_pb))
-    pa = hist.belief(state.tau - 1)
-    log_pa = np.log(pa)
-    G = hmm.log_B + hmm.log_A[:, o][None, :]
-    term_tau = float(pa @ G @ pb - pa @ log_pa - pb @ log_pb)
-    o_prev = state.observations[-2] - 1
-    if state.tau == 2:
-        prev_content = hmm.log_mu() + hmm.log_A[:, o_prev]
-        term_prev = float(pa @ (prev_content - log_pa))
-    else:
-        older = hist.belief(state.tau - 2)
-        prev_content = older @ hmm.log_B + hmm.log_A[:, o_prev]
-        term_prev = float(pa @ (prev_content - log_pa) - older @ np.log(older))
-    return term_prev + term_tau
-
-
-def _absorb_hat_term(state: LearnerState) -> None:
-    """Move the oldest still-unabsorbed pairwise term into the carried total.
-
-    Called at the start of ingest tau, before augmentation.  The marginal
-    for time tau-1 is about to become revisable again, so the newest term
-    whose blocks are all final is the one for time tau-2; the tail of the
-    objective (times tau-1 and tau) is recomputed at record time instead.
-    """
-    u = state.tau - 2
-    if u < 1:
-        return
-    hist = state.history
+def _pair_content(state: LearnerState, u: int) -> tuple:
+    """(W, charge) for the time-u term of the literal pairwise objective,
+    pi_u . (W - ln pi_u) - charge: W is the expected log prior of s_u plus
+    the log likelihood of o_u, and charge is the older marginal's entropy
+    charge, which the pair counts again (0 at u = 1)."""
     hmm = state.hmm
     o_u = state.observations[u - 1] - 1
-    pa = hist.belief(u)
-    log_pa = np.log(pa)
     if u == 1:
-        content = hmm.log_mu() + hmm.log_A[:, o_u]
-        state.hat_carried += float(pa @ (content - log_pa))
-    else:
-        older = hist.belief(u - 1)
-        content = older @ hmm.log_B + hmm.log_A[:, o_u]
-        state.hat_carried += float(pa @ (content - log_pa) - older @ np.log(older))
+        return hmm.log_mu() + hmm.log_A[:, o_u], 0.0
+    older = state.history.belief(u - 1)
+    return older @ hmm.log_B + hmm.log_A[:, o_u], float(older @ np.log(older))
+
+
+def _hat_term(state: LearnerState, u: int) -> float:
+    """Time-u pairwise term at the current beliefs and model."""
+    W, charge = _pair_content(state, u)
+    p = state.history.belief(u)
+    return float(p @ (W - np.log(p))) - charge
 
 
 def ingest(state: LearnerState, observation: int) -> TraceRecord:
@@ -394,8 +268,11 @@ def ingest(state: LearnerState, observation: int) -> TraceRecord:
         if state.tau == 1:
             state.history = MfaHistory(_first_block(state))
         else:
-            if state.family is MfaFamily.FULLY_DECOUPLED:
-                _absorb_hat_term(state)
+            if state.family is MfaFamily.FULLY_DECOUPLED and state.tau >= 3:
+                # time tau-1 is about to become revisable again, so the
+                # newest pairwise term whose blocks are all final is the
+                # time tau-2 one; the last two are recomputed at record time
+                state.hat_carried += _hat_term(state, state.tau - 2)
             augment(state.history, state.init_rule, state.hmm)
         psi_applied = _psi_phase(state, o)
         theta_applied = _theta_phase(state, o)
@@ -408,7 +285,8 @@ def ingest(state: LearnerState, observation: int) -> TraceRecord:
         raise type(exc)(f"ingest failed at tau={state.tau}: {exc}") from exc
 
     if state.family is MfaFamily.FULLY_DECOUPLED:
-        stream_elbo = state.hat_carried + _hat_term_tail(state)
+        stream_elbo = state.hat_carried + sum(
+            _hat_term(state, u) for u in range(max(state.tau - 1, 1), state.tau + 1))
     else:
         stream_elbo = elbo_mod.finish(state.summaries, state.history)
 

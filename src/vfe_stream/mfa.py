@@ -76,23 +76,11 @@ class MfaHyperparams:
         return self.rho[0].shape[0]
 
 
-@dataclass(frozen=True)
-class MfaMarginals:
-    """Softmax images of the belief blocks; each row a strictly positive
-    simplex vector."""
-
-    pi: tuple
-
-
 def marginal(hyperparams: MfaHyperparams, t: int) -> np.ndarray:
     """Marginal over s_t (1-based t) under the current beliefs."""
     if not 1 <= t <= hyperparams.horizon:
         raise ConstraintError(f"t must lie in 1..{hyperparams.horizon}")
     return softmax_row(hyperparams.rho[t - 1])
-
-
-def marginals(hyperparams: MfaHyperparams) -> MfaMarginals:
-    return MfaMarginals(pi=tuple(softmax_row(b) for b in hyperparams.rho))
 
 
 class MfaHistory:

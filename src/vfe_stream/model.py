@@ -44,6 +44,13 @@ def softmax_row(logits) -> np.ndarray:
     return w / w.sum()
 
 
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax over the last axis, without validation: for
+    rows that are already known to be finite."""
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
 def log_softmax_row(logits) -> np.ndarray:
     """Logarithm of softmax_row, computed without forming the probabilities."""
     z = np.asarray(logits, dtype=float)
@@ -51,8 +58,7 @@ def log_softmax_row(logits) -> np.ndarray:
         raise ConstraintError("logits must form a non-empty 1-d row")
     if not np.all(np.isfinite(z)):
         raise ConstraintError("non-finite logits")
-    z = z - z.max()
-    return z - np.log(np.exp(z).sum())
+    return log_softmax(z)
 
 
 @dataclass(frozen=True)
@@ -198,8 +204,9 @@ def build_hmm(mu, params: ModelParams) -> GenerativeHMM:
         raise ConstraintError("mu entries must be finite and >= 0")
     if abs(mu.sum() - 1.0) > 1e-12:
         raise ConstraintError("mu must sum to 1 within 1e-12")
-    log_A = np.vstack([log_softmax_row(r) for r in params.alpha_tilde])
-    log_B = np.vstack([log_softmax_row(r) for r in params.beta_tilde])
+    # the parameter rows were validated finite when params was built
+    log_A = log_softmax(params.alpha_tilde)
+    log_B = log_softmax(params.beta_tilde)
     return GenerativeHMM(
         mu=mu,
         params=params,

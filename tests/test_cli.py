@@ -189,6 +189,18 @@ def test_bad_config_exits_2(tmp_path, mutate):
                 "--quiet"]) == 2
 
 
+def test_fractional_update_budget_exits_2(tmp_path, capsys):
+    good = write_json(tmp_path / "gen.json", base_config(length=20))
+    run(["generate", "--config", good, "--out", str(tmp_path), "--quiet"])
+    doc = base_config(length=20)
+    doc["schedule"]["psi_updates_per_obs"] = 2.5
+    bad = write_json(tmp_path / "c.json", doc)
+    code = run(["fit", "--config", bad, "--data", str(tmp_path / "data.jsonl"),
+                "--out", str(tmp_path), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert run(["fit", "--config", str(tmp_path / "nope.json"),
                 "--data", str(tmp_path / "nope.jsonl"),

@@ -193,28 +193,6 @@ def test_grad_theta_matches_finite_differences():
         assert gradients_match(analytic, finite_diff_grad(f, free0))
 
 
-def test_grad_theta_variant_fails_finite_differences():
-    # carrying the summary at the terminal index is the other reading of the
-    # recursion; it does not reproduce the true gradient, which is why the
-    # summed-over-state propagation is the default
-    mismatches = 0
-    for seed in range(6):
-        hmm = random_hmm(2, 2, seed)
-        obs = random_obs(2, 4, seed)
-        h = random_history(2, 4, seed)
-        space = StateSpace(2, 2)
-        free0 = params_free_vector(hmm.params)
-
-        def f(vec):
-            p = params_from_free(space, vec)
-            return elbo_recursive(build_hmm(hmm.mu, p), h, obs)[0]
-
-        variant = grad_theta(hmm, h, obs, variant_carry_terminal=True).free_vector()
-        if not gradients_match(variant, finite_diff_grad(f, free0)):
-            mismatches += 1
-    assert mismatches == 6
-
-
 def test_grad_theta_pinned_coordinates_exactly_zero():
     hmm = random_hmm(3, 3, 2)
     h = random_history(3, 3, 2)
@@ -294,7 +272,7 @@ def test_local_form_matches_global_objective():
     prefix_obs = obs[:-1]
     from vfe_stream.elbo import history_prefix
     s = scratch_summaries(hmm, history_prefix(h), prefix_obs)
-    W, G = step_inputs(hmm, s.v.values, h, obs[-1])
+    W, G = step_inputs(hmm, s.v, h, obs[-1])
     a0, b0 = h.updatable_logits()
     base_local = local_elbo(W, G, a0, b0)
     base_global, _ = elbo_recursive(hmm, h, obs)
@@ -345,8 +323,8 @@ def test_streaming_manual_two_step_bit_identical():
     s1 = base_summaries(hmm, h, obs[0])
     s2 = streaming_update_summaries(s1, obs[1], hmm, h)
     scratch = scratch_summaries(hmm, h, obs)
-    assert np.array_equal(s2.v.values, scratch.v.values)
-    assert np.array_equal(s2.u.values, scratch.u.values)
+    assert np.array_equal(s2.v, scratch.v)
+    assert np.array_equal(s2.u, scratch.u)
     assert finish(s2, h) == finish(scratch, h)
 
 
@@ -364,8 +342,8 @@ def test_streaming_matches_scratch_along_stream():
         summaries = streaming_update_summaries(summaries, obs[t - 1], hmm, h)
         scratch = scratch_summaries(hmm, h, obs[:t])
         assert abs(finish(summaries, h) - finish(scratch, h)) < 1e-10
-        assert np.allclose(summaries.v.values, scratch.v.values, atol=1e-10)
-        assert np.allclose(summaries.u.values, scratch.u.values, atol=1e-10)
+        assert np.allclose(summaries.v, scratch.v, atol=1e-10)
+        assert np.allclose(summaries.u, scratch.u, atol=1e-10)
 
 
 def test_contraction_matches_brute_theta_gradient():

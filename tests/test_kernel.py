@@ -1,0 +1,251 @@
+"""The raw-array inner loops against a reference learner built from the
+validated public pieces, plus the failure behaviour the loops keep: stalls
+on non-finite gradients and ConstraintError on non-finite logits."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from helpers import near_identity_params, random_hmm, random_obs
+
+from vfe_stream import elbo as elbo_mod
+from vfe_stream.elbo import ThetaGrad, apply_theta_step
+from vfe_stream.kernel import ascent_step
+from vfe_stream.learner import Schedule, ingest, init_learner
+from vfe_stream.mfa import (
+    MfaFamily,
+    MfaHistory,
+    augment,
+    hat_elbo,
+    pairwise_tables_from_history,
+)
+from vfe_stream.model import ConstraintError, ModelParams, StateSpace, build_hmm
+
+TAU = 60
+# a line-searched parameter step evaluates the whole fold, O(tau) each time
+TAU_LINE_SEARCH = 30
+
+
+class Reference:
+    """One stream through the per-iteration validated path: every ascent
+    step goes through ascent_step, every parameter step through
+    apply_theta_step and build_hmm, every fold step through
+    streaming_update_summaries."""
+
+    def __init__(self, params, mu, schedule, family):
+        self.params = params
+        self.hmm = build_hmm(mu, params)
+        self.mu = self.hmm.mu
+        self.sched = schedule
+        self.decoupled = family is MfaFamily.FULLY_DECOUPLED
+        self.hist = None
+        self.summaries = None
+        self.obs = []
+        self.hat = 0.0
+        self.stalls = 0
+
+    def literal_term(self, u):
+        # time-u term of the literal pairwise objective, as the difference
+        # of two prefixes of hat_elbo
+        tables = pairwise_tables_from_history(self.hist)
+        head = hat_elbo(self.hmm, tables[:u], self.obs[:u], literal_pairwise=True)
+        if u == 1:
+            return head
+        return head - hat_elbo(self.hmm, tables[: u - 1], self.obs[: u - 1],
+                               literal_pairwise=True)
+
+    def ingest(self, o):
+        self.obs.append(o)
+        tau = len(self.obs)
+        if tau == 1:
+            logits = np.log(self.mu)
+            self.hist = MfaHistory(logits - logits[0])
+        else:
+            if self.decoupled and tau >= 3:
+                self.hat += self.literal_term(tau - 2)
+            augment(self.hist, "prediction", self.hmm)
+        psi = self.psi_phase(o, tau)
+        theta = self.theta_phase(o, tau)
+        if tau == 1:
+            self.summaries = elbo_mod.base_summaries(self.hmm, self.hist, o)
+        else:
+            self.summaries = elbo_mod.streaming_update_summaries(
+                self.summaries, o, self.hmm, self.hist)
+        if self.decoupled:
+            elbo = self.hat + sum(self.literal_term(u)
+                                  for u in range(max(tau - 1, 1), tau + 1))
+        else:
+            elbo = elbo_mod.finish(self.summaries, self.hist)
+        return elbo, psi, theta
+
+    def psi_phase(self, o, tau):
+        sched, hmm, hist = self.sched, self.hmm, self.hist
+        applied = 0
+        if tau == 1:
+            base = hmm.log_mu() + hmm.log_A[:, o - 1]
+            b = hist.superseded_logits(1).copy()
+            for _ in range(sched.psi_updates_per_obs):
+                g = elbo_mod.local_psi_gradient_first(base, b)
+                b, stalled = ascent_step(
+                    b, g, sched.psi_step, sched.line_search,
+                    objective=lambda x: elbo_mod.local_elbo_first(base, x))
+                if stalled:
+                    self.stalls += 1
+                    break
+                applied += 1
+            hist.set_updatable(rho_curr=b)
+            return applied
+        G = hmm.log_B + hmm.log_A[:, o - 1][None, :]
+        if self.decoupled:
+            o_prev = self.obs[-2] - 1
+            if tau == 2:
+                W = hmm.log_mu() + hmm.log_A[:, o_prev]
+            else:
+                W = hist.belief(tau - 2) @ hmm.log_B + hmm.log_A[:, o_prev]
+        else:
+            W, _ = elbo_mod.step_inputs(hmm, self.summaries.v, hist, o)
+        K = hmm.K
+
+        def objective(x):
+            value = elbo_mod.local_elbo(W, G, x[:K], x[K:])
+            if self.decoupled:
+                # the literal pairwise objective charges pi_a's entropy twice
+                log_pa = elbo_mod.log_softmax_row(x[:K])
+                value -= float(np.exp(log_pa) @ log_pa)
+            return value
+
+        x = np.concatenate(hist.updatable_logits())
+        for _ in range(sched.psi_updates_per_obs):
+            ga, gb = elbo_mod.local_psi_gradient(
+                W, G, x[:K], x[K:], double_prev_entropy=self.decoupled)
+            x, stalled = ascent_step(x, np.concatenate([ga, gb]), sched.psi_step,
+                                     sched.line_search, objective=objective)
+            if stalled:
+                self.stalls += 1
+                break
+            applied += 1
+        hist.set_updatable(rho_prev=x[:K], rho_curr=x[K:])
+        return applied
+
+    def theta_phase(self, o, tau):
+        sched, hist = self.sched, self.hist
+        K, M = self.hmm.K, self.hmm.M
+        pb = hist.belief(tau)
+        pa = hist.belief(tau - 1) if tau > 1 else None
+        ubar = pa @ self.summaries.u if tau > 1 else np.zeros(K * M + K * K)
+        eo = np.eye(M)[o - 1]
+
+        def objective(p):
+            s = elbo_mod.scratch_summaries(build_hmm(self.mu, p), hist, self.obs)
+            return elbo_mod.finish(s, hist)
+
+        params, hmm = self.params, self.hmm
+        step = sched.theta_step / tau
+        applied = 0
+        for _ in range(sched.theta_updates_per_obs):
+            da = pb[:, None] * (eo[None, :] - hmm.A)
+            db = np.zeros((K, K)) if pa is None else pa[:, None] * (pb[None, :] - hmm.B)
+            da[:, 0] = 0.0
+            db[:, 0] = 0.0
+            dense = ubar + np.concatenate([da.ravel(), db.ravel()])
+            if not np.all(np.isfinite(dense)):
+                self.stalls += 1
+                break
+            grad = ThetaGrad(dalpha=dense[: K * M].reshape(K, M),
+                             dbeta=dense[K * M:].reshape(K, K))
+            if sched.line_search:
+                f0 = objective(params)
+                slack = 1e-12 * max(1.0, abs(f0))
+                s = step
+                for _ in range(21):
+                    cand = apply_theta_step(params, grad, s)
+                    if objective(cand) >= f0 - slack:
+                        break
+                    s *= 0.5
+                else:
+                    self.stalls += 1
+                    break
+                params = cand
+            else:
+                params = apply_theta_step(params, grad, step)
+            hmm = build_hmm(self.mu, params)
+            applied += 1
+        self.params, self.hmm = params, hmm
+        return applied
+
+
+@pytest.mark.parametrize("budgets", [(0, 0), (6, 0), (0, 3), (9, 3)])
+@pytest.mark.parametrize("line_search", [False, True])
+@pytest.mark.parametrize("family", [MfaFamily.REVERSED, MfaFamily.FULLY_DECOUPLED])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_kernel_matches_validated_reference(K, family, line_search, budgets):
+    M = 3
+    truth = random_hmm(K, M, seed=K)
+    p0 = ModelParams.random(StateSpace(K, M), seed=20 + K)
+    sched = Schedule(psi_updates_per_obs=budgets[0],
+                     theta_updates_per_obs=budgets[1], psi_step=1.5,
+                     theta_step=2.0, line_search=line_search)
+    state = init_learner(p0, truth.mu, sched, family=family)
+    ref = Reference(p0, truth.mu, sched, family)
+    tau = TAU_LINE_SEARCH if line_search else TAU
+    for o in random_obs(M, tau, seed=K):
+        rec = ingest(state, o)
+        elbo, psi, theta = ref.ingest(o)
+        assert (rec.psi_updates, rec.theta_updates) == (psi, theta)
+        assert abs(rec.elbo - elbo) <= 1e-12 * max(1.0, abs(elbo))
+    assert state.stalls_total == ref.stalls
+    assert np.max(np.abs(state.hmm.A - ref.hmm.A)) <= 1e-12
+    assert np.max(np.abs(state.hmm.B - ref.hmm.B)) <= 1e-12
+    for t in range(1, tau + 1):
+        assert np.max(np.abs(state.history.belief(t)
+                             - ref.hist.belief(t))) <= 1e-12
+    if budgets[1] == 0:
+        assert state.params is p0
+
+
+def _warm_state(schedule, n=5, params=None):
+    truth = random_hmm(2, 2, seed=3)
+    if params is None:
+        params = ModelParams.random(StateSpace(2, 2), seed=4)
+    state = init_learner(params, truth.mu, schedule)
+    for o in random_obs(2, n, seed=3):
+        ingest(state, o)
+    return state
+
+
+def test_nan_in_carried_gradient_stalls_and_keeps_parameters():
+    state = _warm_state(Schedule(psi_updates_per_obs=5, theta_updates_per_obs=4))
+    u = state.summaries.u.copy()
+    u[0, 1] = np.nan
+    state.summaries = dataclasses.replace(state.summaries, u=u)
+    params, hmm = state.params, state.hmm
+    rec = ingest(state, 1)
+    assert rec.stalls == 1
+    assert rec.theta_updates == 0
+    assert rec.psi_updates == 5
+    assert state.params is params and state.hmm is hmm
+
+
+# near-deterministic rows give log-probability gaps of about 60, so the first
+# gradient has entries above 1 and the largest float step overflows a logit
+@pytest.mark.parametrize("steps", [1, 3])
+def test_step_to_non_finite_belief_logit_raises(steps):
+    sched = Schedule(psi_updates_per_obs=steps, theta_updates_per_obs=0,
+                     psi_step=np.finfo(float).max)
+    state = _warm_state(sched, n=0, params=near_identity_params(2))
+    with pytest.raises(ConstraintError, match="non-finite"):
+        ingest(state, 1)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_step_to_non_finite_parameter_raises(steps):
+    # a carried gradient far above the horizon makes theta_step / tau times
+    # the gradient overflow
+    state = _warm_state(Schedule(psi_updates_per_obs=2, theta_updates_per_obs=2))
+    state.schedule = Schedule(psi_updates_per_obs=0, theta_updates_per_obs=steps,
+                              theta_step=np.finfo(float).max)
+    state.summaries = dataclasses.replace(state.summaries,
+                                          u=1e6 * state.summaries.u)
+    with pytest.raises(ConstraintError, match="non-finite"):
+        ingest(state, 1)

@@ -15,12 +15,12 @@ from vfe_stream.learner import (
     TRACE_HEADER,
     TraceRecord,
     align_states,
-    ascent_step,
     ingest,
     init_learner,
     run_stream,
     summary_dict,
 )
+from vfe_stream.kernel import ascent_step
 from vfe_stream.mfa import MfaFamily, MfaHistory, augment
 from vfe_stream.model import (
     ConstraintError,
@@ -68,6 +68,14 @@ def test_schedule_rejects_bad_values():
         Schedule(theta_step=-0.1)
     with pytest.raises(ConstraintError):
         Schedule(psi_step=float("nan"))
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, True, "4"])
+def test_schedule_rejects_non_integer_update_counts(count):
+    with pytest.raises(ConstraintError, match="integers"):
+        Schedule(psi_updates_per_obs=count)
+    with pytest.raises(ConstraintError, match="integers"):
+        Schedule(theta_updates_per_obs=count)
 
 
 # -- ascent_step ------------------------------------------------------------
@@ -320,7 +328,7 @@ def test_psi_inner_loop_monotone_with_line_search():
     augment(hist, "prediction", state.hmm)
     state.observations.append(o_next)
     state.tau += 1
-    W, _ = elbo_mod.step_inputs(state.hmm, state.summaries.v.values, hist, o_next)
+    W, _ = elbo_mod.step_inputs(state.hmm, state.summaries.v, hist, o_next)
     G = state.hmm.log_B + state.hmm.log_A[:, o_next - 1][None, :]
     a, b = (x.copy() for x in hist.updatable_logits())
     K = a.shape[0]
