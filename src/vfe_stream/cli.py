@@ -9,7 +9,6 @@ atomically (temp file in the target directory, then rename).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -20,14 +19,7 @@ import numpy as np
 
 from . import elbo as elbo_mod
 from .learner import Schedule, run_stream, summary_dict
-from .mfa import (
-    MfaFamily,
-    MfaHistory,
-    augment,
-    full_q,
-    hat_elbo,
-    pairwise_tables_from_history,
-)
+from .mfa import MfaFamily, MfaHistory, augment, full_q
 from .model import (
     ConstraintError,
     GenerativeHMM,
@@ -125,8 +117,6 @@ class ExperimentConfig:
         if family_name not in _FAMILIES:
             raise ConfigError(f"unknown family {family_name!r}")
         family = _FAMILIES[family_name]
-        if family is MfaFamily.FORWARD_MARKOV:
-            raise ConfigError("the forward-Markov family has no streaming path")
         init_rule = doc.get("init_rule", "prediction")
         if init_rule not in ("uniform", "zeros", "prediction"):
             raise ConfigError(f"unknown init_rule {init_rule!r}")
@@ -234,23 +224,11 @@ def cmd_fit(cfg: ExperimentConfig, data_path: str, out_dir: str, quiet: bool) ->
 
 # -- compare ------------------------------------------------------------------
 
-def _worker_count(n_tasks: int) -> int:
-    env = os.environ.get("VFE_STREAM_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    if cap < 1:
-        raise ConfigError("VFE_STREAM_THREADS must be >= 1")
-    return max(1, min(cap, n_tasks))
-
-
 def _evaluate_candidate(cfg: ExperimentConfig, observations: list) -> dict:
     result = _run_config(cfg, observations)
     state = result.state
     tau = state.tau
-    if cfg.family is MfaFamily.FULLY_DECOUPLED:
-        objective = hat_elbo(state.hmm,
-                             pairwise_tables_from_history(state.history),
-                             observations, literal_pairwise=True)
-    elif state.hmm.K == 1:
+    if state.hmm.K == 1:
         # one state: beliefs are trivial, so the objective at the final
         # parameters is the iid log-likelihood in closed form
         objective, _ = elbo_mod.elbo_recursive(state.hmm, state.history,
@@ -310,13 +288,7 @@ def cmd_compare(compare_doc: dict, out_dir: str, quiet: bool,
         if bad:
             raise ConfigError(f"candidate {name}: data symbol {bad[0]} exceeds M={cfg.hmm.M}")
 
-    rows = [None] * len(parsed)
-    with concurrent.futures.ThreadPoolExecutor(
-            max_workers=_worker_count(len(parsed))) as pool:
-        futures = {pool.submit(_evaluate_candidate, cfg, observations): i
-                   for i, (_, cfg) in enumerate(parsed)}
-        for fut in concurrent.futures.as_completed(futures):
-            rows[futures[fut]] = fut.result()
+    rows = [_evaluate_candidate(cfg, observations) for _, cfg in parsed]
     for (name, _), row in zip(parsed, rows):
         row["name"] = name
     ranking = sorted(range(len(rows)), key=lambda i: (rows[i]["avg_vfe"], names[i]))

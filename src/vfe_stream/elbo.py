@@ -227,19 +227,13 @@ def grad_theta(hmm: GenerativeHMM, history: MfaHistory,
 
 
 def local_psi_gradient(W: np.ndarray, G: np.ndarray, rho_prev: np.ndarray,
-                       rho_curr: np.ndarray, double_prev_entropy: bool = False) -> tuple:
+                       rho_curr: np.ndarray) -> tuple:
     """Gradient of pi_a . (W - ln pi_a) + pi_a G pi_b + H[pi_b] over the two
-    pinned logit blocks, with everything older held fixed.
-
-    double_prev_entropy doubles the - ln pi_a charge; that is the local
-    shape of the literal pairwise objective, where consecutive terms each
-    charge the shared marginal once.
-    """
+    pinned logit blocks, with everything older held fixed."""
     log_pa = log_softmax_row(rho_prev)
     log_pb = log_softmax_row(rho_curr)
     pa, pb = np.exp(log_pa), np.exp(log_pb)
-    ent = 2.0 if double_prev_entropy else 1.0
-    ca = W + G @ pb - ent * log_pa
+    ca = W + G @ pb - log_pa
     ga = pa * (ca - float(pa @ ca))
     cb = G.T @ pa - log_pb
     gb = pb * (cb - float(pb @ cb))

@@ -57,8 +57,8 @@ def _ascend(x: np.ndarray, gradient, steps: int, step: float,
 
 # -- beliefs ------------------------------------------------------------------
 
-def psi_ascent(x: np.ndarray, W: np.ndarray, G, ent: float, steps: int,
-               step: float, line_search: bool) -> tuple:
+def psi_ascent(x: np.ndarray, W: np.ndarray, G, steps: int, step: float,
+               line_search: bool) -> tuple:
     """Ascent on the updatable belief logits, returning (x, applied,
     stalled).
 
@@ -66,12 +66,11 @@ def psi_ascent(x: np.ndarray, W: np.ndarray, G, ent: float, steps: int,
     pi . (W - ln pi); G is None.  Otherwise x stacks the (revision,
     current) blocks as (2, K) and the objective is
 
-        pi_a . (W - ent ln pi_a) + pi_a G pi_b - pi_b . ln pi_b,
+        pi_a . (W - ln pi_a) + pi_a G pi_b - pi_b . ln pi_b,
 
-    with everything older held fixed; ent = 2 is the local shape of the
-    literal pairwise objective, which charges the shared marginal twice.
-    The pinned first logit of each row gets a zero gradient, so pinning is
-    kept exactly.
+    the final fold step of the streaming objective with everything older
+    held fixed (elbo.step_inputs gives W and G).  The pinned first logit of
+    each row gets a zero gradient, so pinning is kept exactly.
     """
     def gradient(x):
         log_p = log_softmax(x)
@@ -80,7 +79,7 @@ def psi_ascent(x: np.ndarray, W: np.ndarray, G, ent: float, steps: int,
             c = W - log_p
         else:
             c = np.empty_like(x)
-            c[0] = W + G @ p[1] - ent * log_p[0]
+            c[0] = W + G @ p[1] - log_p[0]
             c[1] = G.T @ p[0] - log_p[1]
         g = p * (c - (p * c).sum(axis=1, keepdims=True))
         g[:, 0] = 0.0
@@ -91,7 +90,7 @@ def psi_ascent(x: np.ndarray, W: np.ndarray, G, ent: float, steps: int,
         p = np.exp(log_p)
         if G is None:
             return float(p[0] @ (W - log_p[0]))
-        return float(p[0] @ (W - ent * log_p[0]) + p[0] @ G @ p[1]
+        return float(p[0] @ (W - log_p[0]) + p[0] @ G @ p[1]
                      - p[1] @ log_p[1])
 
     with np.errstate(invalid="ignore", over="ignore"):

@@ -10,6 +10,12 @@ inputs taken from the validated state and validates what comes back once
 per observation: the belief blocks through MfaHistory.set_updatable, the
 parameters through ModelParams and build_hmm.
 
+Both mean-field families run this one path.  The reversed family's
+extension factors telescope to the product of the final per-time marginals,
+which is exactly the fully decoupled family's joint, and both are scored
+and learned with the same valid objective; the family name is carried
+through to the outputs but selects nothing.
+
 The carried summaries absorb each time step's terms at the parameter values
 in effect when the step was folded in.  That staleness is the price of the
 constant-cost contract; with parameter updates disabled the carried values
@@ -62,6 +68,8 @@ class Schedule:
         for s in (self.psi_step, self.theta_step):
             if not (np.isfinite(s) and s > 0.0):
                 raise ConstraintError("step sizes must be positive reals")
+        if not isinstance(self.line_search, bool):
+            raise ConstraintError("line_search must be true or false")
 
 
 @dataclass
@@ -136,7 +144,6 @@ class LearnerState:
     tau: int = 0
     observations: list = field(default_factory=list)
     stalls_total: int = 0
-    hat_carried: float = 0.0
     ref_pred: Optional[np.ndarray] = None
     ref_logz: float = 0.0
 
@@ -146,8 +153,6 @@ def init_learner(params: ModelParams, mu, schedule: Schedule,
                  init_rule: str = "prediction",
                  oracle_mode: str = "off",
                  reference: Optional[GenerativeHMM] = None) -> LearnerState:
-    if family is MfaFamily.FORWARD_MARKOV:
-        raise ConstraintError("the forward-Markov family has no streaming path")
     if oracle_mode not in ("off", "self", "reference"):
         raise ConstraintError("oracle_mode must be off, self or reference")
     if oracle_mode == "reference" and reference is None:
@@ -175,19 +180,13 @@ def _psi_phase(state: LearnerState, o: int) -> int:
     sched = state.schedule
     hist = state.history
     hmm = state.hmm
-    ent = 1.0
     if state.tau == 1:
         W, G = hmm.log_mu() + hmm.log_A[:, o - 1], None
-    elif state.family is MfaFamily.FULLY_DECOUPLED:
-        # the revision block's own pairwise term, with its fresh neighbour
-        W, ent = _pair_content(state, state.tau - 1)[0], 2.0
-        G = hmm.log_B + hmm.log_A[:, o - 1][None, :]
     else:
         W, G = elbo_mod.step_inputs(hmm, state.summaries.v, hist, o)
     x = np.array([b for b in hist.updatable_logits() if b is not None])
     x, applied, stalled = kernel.psi_ascent(
-        x, W, G, ent, sched.psi_updates_per_obs, sched.psi_step,
-        sched.line_search)
+        x, W, G, sched.psi_updates_per_obs, sched.psi_step, sched.line_search)
     state.stalls_total += stalled
     if state.tau == 1:
         hist.set_updatable(rho_curr=x[0])
@@ -233,46 +232,25 @@ def _theta_phase(state: LearnerState, o: int) -> int:
     return applied
 
 
-def _pair_content(state: LearnerState, u: int) -> tuple:
-    """(W, charge) for the time-u term of the literal pairwise objective,
-    pi_u . (W - ln pi_u) - charge: W is the expected log prior of s_u plus
-    the log likelihood of o_u, and charge is the older marginal's entropy
-    charge, which the pair counts again (0 at u = 1)."""
-    hmm = state.hmm
-    o_u = state.observations[u - 1] - 1
-    if u == 1:
-        return hmm.log_mu() + hmm.log_A[:, o_u], 0.0
-    older = state.history.belief(u - 1)
-    return older @ hmm.log_B + hmm.log_A[:, o_u], float(older @ np.log(older))
-
-
-def _hat_term(state: LearnerState, u: int) -> float:
-    """Time-u pairwise term at the current beliefs and model."""
-    W, charge = _pair_content(state, u)
-    p = state.history.belief(u)
-    return float(p @ (W - np.log(p))) - charge
-
-
 def ingest(state: LearnerState, observation: int) -> TraceRecord:
     """Consume one observation: augment, update beliefs, update parameters,
-    refresh summaries, record."""
+    refresh summaries, record.
+
+    All or nothing: when any step fails, the state is put back as it was
+    before the call and the error is raised again.
+    """
     t_start = time.perf_counter()
     o = int(observation)
     if not 1 <= o <= state.hmm.M:
         raise ConstraintError(
             f"observation {o} out of range 1..{state.hmm.M} at tau={state.tau + 1}")
+    saved = (state.params, state.hmm, state.summaries, state.stalls_total)
     state.tau += 1
     state.observations.append(o)
-    stalls_before = state.stalls_total
     try:
         if state.tau == 1:
             state.history = MfaHistory(_first_block(state))
         else:
-            if state.family is MfaFamily.FULLY_DECOUPLED and state.tau >= 3:
-                # time tau-1 is about to become revisable again, so the
-                # newest pairwise term whose blocks are all final is the
-                # time tau-2 one; the last two are recomputed at record time
-                state.hat_carried += _hat_term(state, state.tau - 2)
             augment(state.history, state.init_rule, state.hmm)
         psi_applied = _psi_phase(state, o)
         theta_applied = _theta_phase(state, o)
@@ -281,42 +259,51 @@ def ingest(state: LearnerState, observation: int) -> TraceRecord:
         else:
             state.summaries = elbo_mod.streaming_update_summaries(
                 state.summaries, o, state.hmm, state.history)
+
+        log_evidence = gap = filter_l1 = None
+        elbo_value = elbo_mod.finish(state.summaries, state.history)
+        if state.oracle_mode == "self":
+            filt = forward_filter(state.hmm, state.observations)
+            exact, _ = elbo_mod.elbo_recursive(state.hmm, state.history,
+                                               state.observations)
+            elbo_value = exact
+            log_evidence = filt.log_evidence
+            gap = log_evidence - exact
+            filter_l1 = float(np.abs(state.history.belief(state.tau)
+                                     - filt.marginals[-1]).sum())
+        elif state.oracle_mode == "reference":
+            ref = state.reference
+            w = state.ref_pred * ref.A[:, o - 1]
+            c = float(w.sum())
+            marg = w / c
+            log_evidence = state.ref_logz + float(np.log(c))
+            filter_l1 = float(np.abs(state.history.belief(state.tau) - marg).sum())
+            # written last, after every step that can fail: the rollback
+            # does not restore them
+            state.ref_logz = log_evidence
+            state.ref_pred = ref.B.T @ marg
     except Exception as exc:
-        raise type(exc)(f"ingest failed at tau={state.tau}: {exc}") from exc
-
-    if state.family is MfaFamily.FULLY_DECOUPLED:
-        stream_elbo = state.hat_carried + sum(
-            _hat_term(state, u) for u in range(max(state.tau - 1, 1), state.tau + 1))
-    else:
-        stream_elbo = elbo_mod.finish(state.summaries, state.history)
-
-    log_evidence = gap = filter_l1 = None
-    elbo_value = stream_elbo
-    if state.oracle_mode == "self":
-        filt = forward_filter(state.hmm, state.observations)
-        exact, _ = elbo_mod.elbo_recursive(state.hmm, state.history,
-                                           state.observations)
-        elbo_value = exact
-        log_evidence = filt.log_evidence
-        gap = log_evidence - exact
-        filter_l1 = float(np.abs(state.history.belief(state.tau)
-                                 - filt.marginals[-1]).sum())
-    elif state.oracle_mode == "reference":
-        ref = state.reference
-        w = state.ref_pred * ref.A[:, o - 1]
-        c = float(w.sum())
-        marg = w / c
-        state.ref_logz += float(np.log(c))
-        state.ref_pred = ref.B.T @ marg
-        log_evidence = state.ref_logz
-        filter_l1 = float(np.abs(state.history.belief(state.tau) - marg).sum())
+        _roll_back(state, saved)
+        raise type(exc)(f"ingest failed at tau={state.tau + 1}: {exc}") from exc
 
     wall_ms = (time.perf_counter() - t_start) * 1000.0
     return TraceRecord(tau=state.tau, elbo=elbo_value, log_evidence=log_evidence,
                        gap=gap, filter_l1=filter_l1, psi_updates=psi_applied,
                        theta_updates=theta_applied,
-                       stalls=state.stalls_total - stalls_before,
+                       stalls=state.stalls_total - saved[3],
                        wall_ms=wall_ms)
+
+
+def _roll_back(state: LearnerState, saved: tuple) -> None:
+    """Undo a failed ingest: drop its observation and the snapshot it
+    appended, and restore the model, summaries and stall count."""
+    state.tau -= 1
+    state.observations.pop()
+    if state.tau == 0:
+        state.history = None
+    elif state.history.horizon > state.tau:
+        state.history.drop_newest()
+    state.params, state.hmm, state.summaries, state.stalls_total = saved
 
 
 @dataclass

@@ -16,7 +16,9 @@ The joint over s_{1:tau} is assembled from one-step extension factors
 whose rows need not sum to one when a revision occurred (the row sums,
 revised/superseded, are exposed as a diagnostic and never renormalized).
 The product telescopes, so the assembled q is a product of the final
-per-time marginals and carries total mass 1 up to rounding.
+per-time marginals and carries total mass 1 up to rounding.  That product
+is also the fully decoupled family's joint, so the two family names denote
+one distribution at the final beliefs.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .oracle import ENUMERATION_GUARD, GuardError
 
 class MfaFamily(Enum):
     FULLY_DECOUPLED = "fully_decoupled"
-    FORWARD_MARKOV = "forward_markov"
     REVERSED = "reversed"
 
 
@@ -160,6 +161,14 @@ class MfaHistory:
         if rho_curr is not None:
             old_curr = _check_block(rho_curr, self.K)
         self._snapshots[-1] = (old_prev, old_curr)
+
+    def drop_newest(self) -> None:
+        """Remove the newest snapshot, undoing append_snapshot and every
+        set_updatable since: neither touches the snapshots below, so the
+        previous horizon comes back exactly."""
+        if self.horizon < 2:
+            raise ConstraintError("the starting snapshot cannot be dropped")
+        self._snapshots.pop()
 
     def frozen_fingerprint(self) -> tuple:
         """Raw bytes of every block except the newest snapshot's; tests use
@@ -299,8 +308,7 @@ def full_q(history: MfaHistory, family: MfaFamily = MfaFamily.REVERSED) -> FullQ
 
     Reversed: start from the snapshot-1 marginal and multiply the extension
     factors in horizon order.  FullyDecoupled: product of the final per-time
-    marginals.  ForwardMarkov carries conditionals that are never
-    parametrized here and cannot be materialized.
+    marginals.  The two agree up to rounding, because the factors telescope.
     """
     K, tau = history.K, history.horizon
     if K**tau > ENUMERATION_GUARD:
@@ -313,15 +321,10 @@ def full_q(history: MfaHistory, family: MfaFamily = MfaFamily.REVERSED) -> FullQ
         for t in range(2, tau + 1):
             m, _ = extension_factor(history, t)
             table = (table.reshape(-1, K)[:, :, None] * m[None, :, :]).reshape(-1)
-    elif family is MfaFamily.FULLY_DECOUPLED:
+    else:
         table = history.belief(1).copy()
         for t in range(2, tau + 1):
             table = (table[:, None] * history.belief(t)[None, :]).reshape(-1)
-    else:
-        raise ConstraintError(
-            "forward-Markov conditionals are not parametrized; no explicit "
-            "joint is available for that family"
-        )
     return FullQ(table=table, total_mass=float(table.sum()))
 
 
@@ -345,7 +348,7 @@ def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def hat_elbo(hmm: GenerativeHMM, pairwise_q: Sequence[np.ndarray],
-             observations: Sequence[int], literal_pairwise: bool = False) -> float:
+             observations: Sequence[int]) -> float:
     """Sum of per-step pairwise expectations.
 
     Term 1 is E_{q_1}[ln mu(s_1) A[s_1][o_1] - ln q_1(s_1)]; term t >= 2 is
@@ -354,13 +357,8 @@ def hat_elbo(hmm: GenerativeHMM, pairwise_q: Sequence[np.ndarray],
     Dividing by the conditional charges each time step's uncertainty exactly once
     across the overlapping pairs, so on product-form tables the sum equals
     the exact objective of the corresponding product distribution and can
-    never exceed it.
-
-    literal_pairwise=True divides by the whole table q_t(s_{t-1}, s_t)
-    instead.  That variant double-counts every interior marginal entropy
-    (the excess is sum of H[q_t] over t < tau on product tables), so it can
-    exceed the exact objective and even the log evidence; it is retained for
-    reference and negative tests.
+    never exceed it.  The learner does not call this; it is the reference
+    the streaming objective is checked against.
     """
     o = _check_values(observations, hmm.M, "observation")
     tau = o.shape[0]
@@ -378,12 +376,9 @@ def hat_elbo(hmm: GenerativeHMM, pairwise_q: Sequence[np.ndarray],
             raise ConstraintError(f"table {t} must be K x K")
         _check_table(Q)
         total += float(np.sum(Q * (hmm.log_B + hmm.log_A[:, o[t - 1]][None, :])))
-        if literal_pairwise:
-            total -= float(np.sum(_xlogy(Q, Q)))
-        else:
-            rows = Q.sum(axis=1, keepdims=True)
-            cond = np.divide(Q, rows, out=np.zeros_like(Q), where=rows > 0.0)
-            total -= float(np.sum(_xlogy(Q, np.where(cond > 0.0, cond, 1.0))))
+        rows = Q.sum(axis=1, keepdims=True)
+        cond = np.divide(Q, rows, out=np.zeros_like(Q), where=rows > 0.0)
+        total -= float(np.sum(_xlogy(Q, np.where(cond > 0.0, cond, 1.0))))
     return total
 
 

@@ -16,7 +16,11 @@ import pytest
 from helpers import near_identity_params, random_hmm, random_obs
 
 from vfe_stream import elbo as elbo_mod
-from vfe_stream.cli import load_config, main as cli_main
+from vfe_stream.cli import (
+    _random_history as random_history,
+    load_config,
+    main as cli_main,
+)
 from vfe_stream.learner import (
     Schedule,
     align_states,
@@ -56,19 +60,6 @@ CONFIG_DIR = os.path.join(ROOT, "configs")
 def verdict(ok: bool, name: str, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def random_history(K: int, tau: int, rng) -> MfaHistory:
-    def pin(v):
-        v = np.asarray(v, dtype=float).copy()
-        v[0] = 0.0
-        return v
-
-    h = MfaHistory(pin(rng.normal(size=K)))
-    for _ in range(2, tau + 1):
-        augment(h, "uniform")
-        h.set_updatable(pin(0.7 * rng.normal(size=K)), pin(rng.normal(size=K)))
-    return h
 
 
 def seeded_instance(i: int, max_tau: int = 6):

@@ -9,6 +9,8 @@ import pytest
 
 from vfe_stream.cli import main
 
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs")
 TRUTH_MODEL = {
     "K": 2, "M": 2, "mu": [0.5, 0.5],
     "A": [[0.9, 0.1], [0.1, 0.9]],
@@ -179,6 +181,7 @@ def test_fit_rejects_states_file_as_data(tmp_path):
     lambda d: d.update(init_rule="magic"),
     lambda d: d["schedule"].update(step="big"),
     lambda d: d["schedule"].update(psi_step=-1.0),
+    lambda d: d["schedule"].update(line_search="false"),
     lambda d: d.update(out={"weird": "x.csv"}),
 ])
 def test_bad_config_exits_2(tmp_path, mutate):
@@ -290,26 +293,31 @@ def test_compare_identical_candidates_tie_exactly(tmp_path):
     assert report["ranking"] == ["a", "b"]  # ties broken by name
 
 
-def test_compare_single_thread_env_is_equivalent(tmp_path, monkeypatch):
-    doc = _compare_doc(tmp_path, [
-        _candidate("a", dict(TRUTH_MODEL)),
-        _candidate("b", dict(TRUTH_MODEL), init_rule="uniform"),
-    ])
-    cmpp = write_json(tmp_path / "cmp.json", doc)
-    d1, d2 = tmp_path / "p1", tmp_path / "p2"
-    d1.mkdir(), d2.mkdir()
-    assert run(["compare", "--config", cmpp, "--out", str(d1), "--quiet"]) == 0
-    monkeypatch.setenv("VFE_STREAM_THREADS", "1")
-    assert run(["compare", "--config", cmpp, "--out", str(d2), "--quiet"]) == 0
-    assert (d1 / "compare.json").read_bytes() == (d2 / "compare.json").read_bytes()
-
-
-def test_compare_invalid_thread_cap_exits_2(tmp_path, monkeypatch):
-    doc = _compare_doc(tmp_path, [_candidate("a", dict(TRUTH_MODEL))])
-    cmpp = write_json(tmp_path / "cmp.json", doc)
-    monkeypatch.setenv("VFE_STREAM_THREADS", "0")
+def test_compare_decoupled_family_scores_as_reversed_within_the_bound(tmp_path):
+    # both family names denote the product of the final marginals; scoring
+    # the decoupled one with a pairwise objective that charges interior
+    # entropies twice once ranked it far above the log evidence
+    with open(os.path.join(CONFIG_DIR, "bench-k2.json")) as fh:
+        bench = json.load(fh)
+    gen = dict(bench, length=120, seed=7)
+    cfgp = write_json(tmp_path / "gen.json", gen)
+    run(["generate", "--config", cfgp, "--out", str(tmp_path), "--quiet"])
+    cands = [{"name": family, "config": {
+        "model": bench["model"], "seed": 3, "init_seed": 3,
+        "schedule": bench["schedule"], "family": family}}
+        for family in ("reversed", "fully_decoupled")]
+    cmpp = write_json(tmp_path / "cmp.json", {
+        "data": str(tmp_path / "data.jsonl"), "candidates": cands})
     assert run(["compare", "--config", cmpp, "--out", str(tmp_path),
-                "--quiet"]) == 2
+                "--quiet"]) == 0
+    report = json.loads((tmp_path / "compare.json").read_text())
+    rev, dec = report["candidates"]
+    for row in (rev, dec):
+        ev = row["exact_log_evidence"]
+        assert row["objective"] <= ev + 1e-9 * abs(ev)
+    for key in ("objective", "exact_elbo", "avg_vfe"):
+        assert dec[key] == rev[key]
+    assert (rev["family"], dec["family"]) == ("reversed", "fully_decoupled")
 
 
 def test_compare_rejects_duplicate_names(tmp_path):

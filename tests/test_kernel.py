@@ -1,6 +1,7 @@
 """The raw-array inner loops against a reference learner built from the
 validated public pieces, plus the failure behaviour the loops keep: stalls
-on non-finite gradients and ConstraintError on non-finite logits."""
+on non-finite gradients, ConstraintError on non-finite logits, and a
+failed ingest that leaves the learner as it was."""
 
 import dataclasses
 
@@ -13,13 +14,7 @@ from vfe_stream import elbo as elbo_mod
 from vfe_stream.elbo import ThetaGrad, apply_theta_step
 from vfe_stream.kernel import ascent_step
 from vfe_stream.learner import Schedule, ingest, init_learner
-from vfe_stream.mfa import (
-    MfaFamily,
-    MfaHistory,
-    augment,
-    hat_elbo,
-    pairwise_tables_from_history,
-)
+from vfe_stream.mfa import MfaHistory, augment
 from vfe_stream.model import ConstraintError, ModelParams, StateSpace, build_hmm
 
 TAU = 60
@@ -33,27 +28,15 @@ class Reference:
     apply_theta_step and build_hmm, every fold step through
     streaming_update_summaries."""
 
-    def __init__(self, params, mu, schedule, family):
+    def __init__(self, params, mu, schedule):
         self.params = params
         self.hmm = build_hmm(mu, params)
         self.mu = self.hmm.mu
         self.sched = schedule
-        self.decoupled = family is MfaFamily.FULLY_DECOUPLED
         self.hist = None
         self.summaries = None
         self.obs = []
-        self.hat = 0.0
         self.stalls = 0
-
-    def literal_term(self, u):
-        # time-u term of the literal pairwise objective, as the difference
-        # of two prefixes of hat_elbo
-        tables = pairwise_tables_from_history(self.hist)
-        head = hat_elbo(self.hmm, tables[:u], self.obs[:u], literal_pairwise=True)
-        if u == 1:
-            return head
-        return head - hat_elbo(self.hmm, tables[: u - 1], self.obs[: u - 1],
-                               literal_pairwise=True)
 
     def ingest(self, o):
         self.obs.append(o)
@@ -62,8 +45,6 @@ class Reference:
             logits = np.log(self.mu)
             self.hist = MfaHistory(logits - logits[0])
         else:
-            if self.decoupled and tau >= 3:
-                self.hat += self.literal_term(tau - 2)
             augment(self.hist, "prediction", self.hmm)
         psi = self.psi_phase(o, tau)
         theta = self.theta_phase(o, tau)
@@ -72,11 +53,7 @@ class Reference:
         else:
             self.summaries = elbo_mod.streaming_update_summaries(
                 self.summaries, o, self.hmm, self.hist)
-        if self.decoupled:
-            elbo = self.hat + sum(self.literal_term(u)
-                                  for u in range(max(tau - 1, 1), tau + 1))
-        else:
-            elbo = elbo_mod.finish(self.summaries, self.hist)
+        elbo = elbo_mod.finish(self.summaries, self.hist)
         return elbo, psi, theta
 
     def psi_phase(self, o, tau):
@@ -96,29 +73,15 @@ class Reference:
                 applied += 1
             hist.set_updatable(rho_curr=b)
             return applied
-        G = hmm.log_B + hmm.log_A[:, o - 1][None, :]
-        if self.decoupled:
-            o_prev = self.obs[-2] - 1
-            if tau == 2:
-                W = hmm.log_mu() + hmm.log_A[:, o_prev]
-            else:
-                W = hist.belief(tau - 2) @ hmm.log_B + hmm.log_A[:, o_prev]
-        else:
-            W, _ = elbo_mod.step_inputs(hmm, self.summaries.v, hist, o)
+        W, G = elbo_mod.step_inputs(hmm, self.summaries.v, hist, o)
         K = hmm.K
 
         def objective(x):
-            value = elbo_mod.local_elbo(W, G, x[:K], x[K:])
-            if self.decoupled:
-                # the literal pairwise objective charges pi_a's entropy twice
-                log_pa = elbo_mod.log_softmax_row(x[:K])
-                value -= float(np.exp(log_pa) @ log_pa)
-            return value
+            return elbo_mod.local_elbo(W, G, x[:K], x[K:])
 
         x = np.concatenate(hist.updatable_logits())
         for _ in range(sched.psi_updates_per_obs):
-            ga, gb = elbo_mod.local_psi_gradient(
-                W, G, x[:K], x[K:], double_prev_entropy=self.decoupled)
+            ga, gb = elbo_mod.local_psi_gradient(W, G, x[:K], x[K:])
             x, stalled = ascent_step(x, np.concatenate([ga, gb]), sched.psi_step,
                                      sched.line_search, objective=objective)
             if stalled:
@@ -177,17 +140,16 @@ class Reference:
 
 @pytest.mark.parametrize("budgets", [(0, 0), (6, 0), (0, 3), (9, 3)])
 @pytest.mark.parametrize("line_search", [False, True])
-@pytest.mark.parametrize("family", [MfaFamily.REVERSED, MfaFamily.FULLY_DECOUPLED])
 @pytest.mark.parametrize("K", [1, 2, 3])
-def test_kernel_matches_validated_reference(K, family, line_search, budgets):
+def test_kernel_matches_validated_reference(K, line_search, budgets):
     M = 3
     truth = random_hmm(K, M, seed=K)
     p0 = ModelParams.random(StateSpace(K, M), seed=20 + K)
     sched = Schedule(psi_updates_per_obs=budgets[0],
                      theta_updates_per_obs=budgets[1], psi_step=1.5,
                      theta_step=2.0, line_search=line_search)
-    state = init_learner(p0, truth.mu, sched, family=family)
-    ref = Reference(p0, truth.mu, sched, family)
+    state = init_learner(p0, truth.mu, sched)
+    ref = Reference(p0, truth.mu, sched)
     tau = TAU_LINE_SEARCH if line_search else TAU
     for o in random_obs(M, tau, seed=K):
         rec = ingest(state, o)
@@ -249,3 +211,46 @@ def test_step_to_non_finite_parameter_raises(steps):
                                           u=1e6 * state.summaries.u)
     with pytest.raises(ConstraintError, match="non-finite"):
         ingest(state, 1)
+
+
+def _assert_same_learner(a, b):
+    assert (a.tau, a.observations, a.stalls_total) == \
+        (b.tau, b.observations, b.stalls_total)
+    assert a.history.to_dict() == b.history.to_dict()
+    assert np.array_equal(a.params.alpha_tilde, b.params.alpha_tilde)
+    assert np.array_equal(a.params.beta_tilde, b.params.beta_tilde)
+    assert np.array_equal(a.summaries.v, b.summaries.v)
+    assert np.array_equal(a.summaries.u, b.summaries.u)
+
+
+def test_failed_first_ingest_leaves_the_learner_fresh():
+    sane = Schedule(psi_updates_per_obs=3, theta_updates_per_obs=2)
+    state = _warm_state(Schedule(psi_updates_per_obs=1, theta_updates_per_obs=0,
+                                 psi_step=np.finfo(float).max),
+                        n=0, params=near_identity_params(2))
+    with pytest.raises(ConstraintError, match="non-finite"):
+        ingest(state, 1)
+    assert (state.tau, state.observations, state.history) == (0, [], None)
+    state.schedule = sane
+    fresh = _warm_state(sane, n=0, params=near_identity_params(2))
+    assert ingest(state, 1).elbo == ingest(fresh, 1).elbo
+    _assert_same_learner(state, fresh)
+
+
+def test_failed_later_ingest_leaves_the_learner_as_it_was(monkeypatch):
+    # the fold step fails after both ascent phases have moved the beliefs
+    # and the parameters
+    sched = Schedule(psi_updates_per_obs=2, theta_updates_per_obs=2)
+    state, twin = _warm_state(sched), _warm_state(sched)
+
+    def broken(*args):
+        raise RuntimeError("injected")
+
+    with monkeypatch.context() as m:
+        m.setattr(elbo_mod, "streaming_update_summaries", broken)
+        with pytest.raises(RuntimeError, match="ingest failed at tau=6"):
+            ingest(state, 1)
+    _assert_same_learner(state, twin)
+    for o in (1, 2):
+        assert ingest(state, o).elbo == ingest(twin, o).elbo
+    _assert_same_learner(state, twin)

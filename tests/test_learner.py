@@ -21,7 +21,7 @@ from vfe_stream.learner import (
     summary_dict,
 )
 from vfe_stream.kernel import ascent_step
-from vfe_stream.mfa import MfaFamily, MfaHistory, augment
+from vfe_stream.mfa import MfaHistory, augment
 from vfe_stream.model import (
     ConstraintError,
     ModelParams,
@@ -173,8 +173,6 @@ def test_init_learner_rejections():
     hmm = two_state_hmm()
     params = ModelParams.random(StateSpace(K=2, M=2), seed=0)
     sched = Schedule()
-    with pytest.raises(ConstraintError):
-        init_learner(params, hmm.mu, sched, family=MfaFamily.FORWARD_MARKOV)
     with pytest.raises(ConstraintError):
         init_learner(params, hmm.mu, sched, init_rule="magic")
     with pytest.raises(ConstraintError):
