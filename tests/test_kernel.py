@@ -14,7 +14,7 @@ from vfe_stream import elbo as elbo_mod
 from vfe_stream.elbo import ThetaGrad, apply_theta_step
 from vfe_stream.kernel import ascent_step
 from vfe_stream.learner import Schedule, ingest, init_learner
-from vfe_stream.mfa import MfaHistory, augment
+from vfe_stream.mfa import MfaFamily, MfaHistory, augment
 from vfe_stream.model import ConstraintError, ModelParams, StateSpace, build_hmm
 
 TAU = 60
@@ -140,15 +140,18 @@ class Reference:
 
 @pytest.mark.parametrize("budgets", [(0, 0), (6, 0), (0, 3), (9, 3)])
 @pytest.mark.parametrize("line_search", [False, True])
+@pytest.mark.parametrize("family", [MfaFamily.REVERSED, MfaFamily.FULLY_DECOUPLED])
 @pytest.mark.parametrize("K", [1, 2, 3])
-def test_kernel_matches_validated_reference(K, line_search, budgets):
+def test_kernel_matches_validated_reference(K, family, line_search, budgets):
+    # both family names denote the product of the final marginals, so both
+    # must run the one reference path
     M = 3
     truth = random_hmm(K, M, seed=K)
     p0 = ModelParams.random(StateSpace(K, M), seed=20 + K)
     sched = Schedule(psi_updates_per_obs=budgets[0],
                      theta_updates_per_obs=budgets[1], psi_step=1.5,
                      theta_step=2.0, line_search=line_search)
-    state = init_learner(p0, truth.mu, sched)
+    state = init_learner(p0, truth.mu, sched, family=family)
     ref = Reference(p0, truth.mu, sched)
     tau = TAU_LINE_SEARCH if line_search else TAU
     for o in random_obs(M, tau, seed=K):
