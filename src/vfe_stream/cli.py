@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -107,7 +107,7 @@ class ExperimentConfig:
         sched_doc = doc.get("schedule", {})
         _require_keys(sched_doc,
                       {"psi_updates_per_obs", "theta_updates_per_obs",
-                       "psi_step", "theta_step", "line_search"}, set(),
+                       "psi_step", "theta_step"}, set(),
                       "schedule")
         try:
             schedule = Schedule(**sched_doc)
@@ -147,6 +147,14 @@ def load_config(path: str) -> ExperimentConfig:
 def _out_path(cfg: ExperimentConfig, key: str, out_dir: str, default: str) -> str:
     name = cfg.out.get(key, default)
     return os.path.join(out_dir, name)
+
+
+def _report_path(doc: dict, out_dir: str, default: str) -> str:
+    """Report path of a compare or gradcheck config: its only out field is
+    report."""
+    out = doc.get("out", {})
+    _require_keys(out, {"report"}, set(), "out")
+    return os.path.join(out_dir, out.get("report", default))
 
 
 # -- generate -----------------------------------------------------------------
@@ -257,6 +265,7 @@ def cmd_compare(compare_doc: dict, out_dir: str, quiet: bool,
                 data_override: Optional[str]) -> int:
     _require_keys(compare_doc, {"data", "candidates", "out"}, {"candidates"},
                   "compare config")
+    report_path = _report_path(compare_doc, out_dir, "compare.json")
     data_path = data_override or compare_doc.get("data")
     if not data_path:
         raise ConfigError("compare needs a data file (config field or --data)")
@@ -298,9 +307,6 @@ def cmd_compare(compare_doc: dict, out_dir: str, quiet: bool,
         "candidates": rows,
         "ranking": [names[i] for i in ranking],
     }
-    out = compare_doc.get("out", {})
-    report_path = os.path.join(out_dir, out.get("report", "compare.json")) \
-        if isinstance(out, dict) else os.path.join(out_dir, "compare.json")
     _atomic_write(report_path, _json_text(report))
     if not quiet:
         for i in ranking:
@@ -366,7 +372,7 @@ def _gradcheck_instance(K: int, M: int, tau: int, seed: int,
                              np.concatenate([[0.0], v[K - 1:]]))
             return elbo_mod.elbo_recursive(hmm, h2, obs)[0]
 
-        psi_err = max_grad_error(gp.free_vector(), finite_diff_grad(f_psi, x0))
+        psi_err = max_grad_error(gp, finite_diff_grad(f_psi, x0))
     elif K > 1:
         b0 = hist.updatable_logits()[1]
 
@@ -374,8 +380,7 @@ def _gradcheck_instance(K: int, M: int, tau: int, seed: int,
             h2 = MfaHistory(np.concatenate([[0.0], v]))
             return elbo_mod.elbo_recursive(hmm, h2, obs)[0]
 
-        psi_err = max_grad_error(gp.free_vector(),
-                                 finite_diff_grad(f_psi1, b0[1:].copy()))
+        psi_err = max_grad_error(gp, finite_diff_grad(f_psi1, b0[1:].copy()))
     else:
         psi_err = 0.0
 
@@ -409,6 +414,7 @@ def cmd_gradcheck(doc: dict, out_dir: str, quiet: bool) -> int:
     if K ** tau > ENUMERATION_GUARD:
         raise ConfigError(f"K^tau = {K ** tau} exceeds the enumeration guard "
                           f"{ENUMERATION_GUARD}")
+    report_path = _report_path(doc, out_dir, "gradcheck.json")
 
     per_instance = []
     for i in range(instances):
@@ -435,9 +441,6 @@ def cmd_gradcheck(doc: dict, out_dir: str, quiet: bool) -> int:
         "passed": all(checks.values()),
         "instances": per_instance,
     }
-    out = doc.get("out", {})
-    report_path = os.path.join(out_dir, out.get("report", "gradcheck.json")) \
-        if isinstance(out, dict) else os.path.join(out_dir, "gradcheck.json")
     _atomic_write(report_path, _json_text(report))
     if not quiet:
         for name, ok in checks.items():
@@ -473,11 +476,7 @@ def main(argv=None) -> int:
         if args.command in ("generate", "fit"):
             cfg = load_config(args.config)
             if args.seed is not None:
-                cfg = ExperimentConfig(
-                    hmm=cfg.hmm, seed=args.seed, init_seed=args.seed,
-                    length=cfg.length, schedule=cfg.schedule,
-                    family=cfg.family, init_rule=cfg.init_rule,
-                    oracle=cfg.oracle, out=cfg.out)
+                cfg = replace(cfg, seed=args.seed, init_seed=args.seed)
             if args.oracle and cfg.oracle == "off":
                 cfg.oracle = "self"
             if args.command == "generate":

@@ -33,7 +33,7 @@ recompute everything from scratch as the audit path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,16 +59,9 @@ class ThetaGrad:
     dalpha: np.ndarray  # (K, M)
     dbeta: np.ndarray   # (K, K)
 
-    def dense_vector(self) -> np.ndarray:
-        return np.concatenate([self.dalpha.ravel(), self.dbeta.ravel()])
-
     def free_vector(self) -> np.ndarray:
         return np.concatenate([self.dalpha[:, 1:].ravel(),
                                self.dbeta[:, 1:].ravel()])
-
-
-def theta_dense_dim(K: int, M: int) -> int:
-    return K * M + K * K
 
 
 def params_free_vector(params: ModelParams) -> np.ndarray:
@@ -95,26 +88,6 @@ def apply_theta_step(params: ModelParams, grad: ThetaGrad, step: float) -> Model
     # pinned columns are zero in the gradient, so pinning is preserved exactly
     return ModelParams(alpha_tilde=params.alpha_tilde + step * grad.dalpha,
                        beta_tilde=params.beta_tilde + step * grad.dbeta)
-
-
-@dataclass(frozen=True)
-class PsiGradient:
-    """Gradient over the updatable blocks only.
-
-    prev_block is None at horizon 1.  Dense per-block rows keep the pinned
-    slot at zero; free_vector() emits exactly the unfrozen free coordinates
-    (2K-2 of them for horizon >= 2, K-1 at horizon 1) and nothing else.
-    """
-
-    prev_block: Optional[np.ndarray]
-    curr_block: np.ndarray
-
-    def free_vector(self) -> np.ndarray:
-        parts = []
-        if self.prev_block is not None:
-            parts.append(self.prev_block[1:])
-        parts.append(self.curr_block[1:])
-        return np.concatenate(parts)
 
 
 # -- carried summaries --------------------------------------------------------
@@ -197,18 +170,6 @@ def scratch_summaries(hmm: GenerativeHMM, history: MfaHistory,
 
 # -- public objective and gradients -------------------------------------------
 
-def v_term(hmm: GenerativeHMM, m_table: np.ndarray, k: int, l: int, o_t: int) -> float:
-    """ln B[k][l] + ln A[l][o_t] - ln m(l | k) for 1-based k, l, o_t."""
-    ki, li = int(k) - 1, int(l) - 1
-    oi = int(o_t) - 1
-    if not (0 <= ki < hmm.K and 0 <= li < hmm.K and 0 <= oi < hmm.M):
-        raise ConstraintError("state or symbol out of range")
-    m = np.asarray(m_table, dtype=float)
-    if m.shape != (hmm.K, hmm.K) or m[ki, li] <= 0.0:
-        raise ConstraintError("extension table must be K x K with positive mass")
-    return float(hmm.log_B[ki, li] + hmm.log_A[li, oi] - np.log(m[ki, li]))
-
-
 def elbo_recursive(hmm: GenerativeHMM, history: MfaHistory,
                    observations: Sequence[int]) -> tuple:
     """Objective value at the current horizon, plus the final summaries."""
@@ -255,8 +216,7 @@ def local_psi_gradient_first(base_log: np.ndarray, rho1: np.ndarray) -> np.ndarr
 
 def local_elbo(W: np.ndarray, G: np.ndarray, rho_prev: np.ndarray,
                rho_curr: np.ndarray) -> float:
-    """The objective the local gradients ascend, cheap enough to evaluate
-    inside a line search."""
+    """The objective the local gradients ascend."""
     log_pa = log_softmax_row(rho_prev)
     log_pb = log_softmax_row(rho_curr)
     pa, pb = np.exp(log_pa), np.exp(log_pb)
@@ -285,8 +245,10 @@ def step_inputs(hmm: GenerativeHMM, v_prev: np.ndarray, history: MfaHistory,
 
 
 def grad_psi(hmm: GenerativeHMM, history: MfaHistory,
-             observations: Sequence[int]) -> PsiGradient:
-    """Gradient over the updatable blocks of the newest snapshot.
+             observations: Sequence[int]) -> np.ndarray:
+    """Gradient over the free coordinates of the newest snapshot's blocks:
+    the revision block's then the current block's, each without its pinned
+    first entry (2K - 2 of them, K - 1 at horizon 1).
 
     The carried V through time tau - 1 does not depend on those blocks, so
     only the final fold step differentiates; frozen-block coordinates are
@@ -297,14 +259,13 @@ def grad_psi(hmm: GenerativeHMM, history: MfaHistory,
         raise ConstraintError("need exactly one observation per time step")
     if history.horizon == 1:
         base = hmm.log_mu() + hmm.log_A[:, o[0]]
-        g = local_psi_gradient_first(base, history.superseded_logits(1))
-        return PsiGradient(prev_block=None, curr_block=g)
+        return local_psi_gradient_first(base, history.superseded_logits(1))[1:]
     prefix = history_prefix(history)
     s = scratch_summaries(hmm, prefix, [int(x) + 1 for x in o[:-1]])
     W, G = step_inputs(hmm, s.v, history, int(o[-1]) + 1)
     rho_prev, rho_curr = history.updatable_logits()
     ga, gb = local_psi_gradient(W, G, rho_prev, rho_curr)
-    return PsiGradient(prev_block=ga, curr_block=gb)
+    return np.concatenate([ga[1:], gb[1:]])
 
 
 def history_prefix(history: MfaHistory) -> MfaHistory:

@@ -14,42 +14,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ConstraintError, log_softmax
+from .model import log_softmax
 
 
-def ascent_step(x: np.ndarray, gradient: np.ndarray, step: float,
-                line_search: bool = False, objective=None) -> tuple:
-    """x + step * gradient, optionally backtracking.
-
-    With line_search, the step is halved (at most 20 times) until the
-    objective does not decrease beyond rounding; on exhaustion the old x is
-    kept and the step reported as stalled.  A non-finite gradient always
-    stalls; nothing is clipped.
-    """
+def ascent_step(x: np.ndarray, gradient: np.ndarray, step: float) -> tuple:
+    """(x + step * gradient, False), or (x, True) on a non-finite gradient:
+    a stall.  Nothing is clipped."""
     x = np.asarray(x, dtype=float)
     g = np.asarray(gradient, dtype=float)
     if not np.isfinite(g).all():
         return x, True
-    if not line_search:
-        return x + step * g, False
-    if objective is None:
-        raise ConstraintError("line_search needs an objective")
-    f0 = objective(x)
-    slack = 1e-12 * max(1.0, abs(f0))
-    s = step
-    for _ in range(21):
-        xn = x + s * g
-        if objective(xn) >= f0 - slack:
-            return xn, False
-        s *= 0.5
-    return x, True
+    return x + step * g, False
 
 
-def _ascend(x: np.ndarray, gradient, steps: int, step: float,
-            line_search: bool, objective) -> tuple:
+def _ascend(x: np.ndarray, gradient, steps: int, step: float) -> tuple:
     """Up to `steps` ascent steps; returns (x, applied, stalled)."""
     for applied in range(steps):
-        x, stalled = ascent_step(x, gradient(x), step, line_search, objective)
+        x, stalled = ascent_step(x, gradient(x), step)
         if stalled:
             return x, applied, True
     return x, steps, False
@@ -57,8 +38,8 @@ def _ascend(x: np.ndarray, gradient, steps: int, step: float,
 
 # -- beliefs ------------------------------------------------------------------
 
-def psi_ascent(x: np.ndarray, W: np.ndarray, G, steps: int, step: float,
-               line_search: bool) -> tuple:
+def psi_ascent(x: np.ndarray, W: np.ndarray, G, steps: int,
+               step: float) -> tuple:
     """Ascent on the updatable belief logits, returning (x, applied,
     stalled).
 
@@ -85,16 +66,8 @@ def psi_ascent(x: np.ndarray, W: np.ndarray, G, steps: int, step: float,
         g[:, 0] = 0.0
         return g
 
-    def objective(x):
-        log_p = log_softmax(x)
-        p = np.exp(log_p)
-        if G is None:
-            return float(p[0] @ (W - log_p[0]))
-        return float(p[0] @ (W - log_p[0]) + p[0] @ G @ p[1]
-                     - p[1] @ log_p[1])
-
     with np.errstate(invalid="ignore", over="ignore"):
-        return _ascend(x, gradient, steps, step, line_search, objective)
+        return _ascend(x, gradient, steps, step)
 
 
 # -- parameters ---------------------------------------------------------------
@@ -105,8 +78,7 @@ def theta_rows(theta: np.ndarray, K: int, M: int) -> tuple:
 
 
 def theta_ascent(theta: np.ndarray, ubar: np.ndarray, pa, pb: np.ndarray,
-                 o_idx: int, steps: int, step: float, line_search: bool,
-                 objective=None) -> tuple:
+                 o_idx: int, steps: int, step: float) -> tuple:
     """Ascent on the flat parameter vector, returning (theta, applied,
     stalled).
 
@@ -114,8 +86,7 @@ def theta_ascent(theta: np.ndarray, ubar: np.ndarray, pa, pb: np.ndarray,
     the revision marginal pa, fixed within one observation) plus the fresh
     final-step part, which tracks the moving parameters: pb (onehot(o) - A)
     per emission row and pa (pb - B) per transition row.  pa is None at
-    horizon 1, where no transition has been observed yet.  The line-search
-    objective, when given, is the caller's.
+    horizon 1, where no transition has been observed yet.
     """
     K = pb.shape[0]
     M = ubar.shape[0] // K - K
@@ -134,7 +105,7 @@ def theta_ascent(theta: np.ndarray, ubar: np.ndarray, pa, pb: np.ndarray,
         return ubar + fresh
 
     with np.errstate(invalid="ignore", over="ignore"):
-        return _ascend(theta, gradient, steps, step, line_search, objective)
+        return _ascend(theta, gradient, steps, step)
 
 
 # -- the (V, U) fold ----------------------------------------------------------

@@ -58,7 +58,6 @@ class Schedule:
     theta_updates_per_obs: int = 50
     psi_step: float = 0.1
     theta_step: float = 0.01
-    line_search: bool = False
 
     def __post_init__(self):
         for n in (self.psi_updates_per_obs, self.theta_updates_per_obs):
@@ -68,8 +67,6 @@ class Schedule:
         for s in (self.psi_step, self.theta_step):
             if not (np.isfinite(s) and s > 0.0):
                 raise ConstraintError("step sizes must be positive reals")
-        if not isinstance(self.line_search, bool):
-            raise ConstraintError("line_search must be true or false")
 
 
 @dataclass
@@ -186,7 +183,7 @@ def _psi_phase(state: LearnerState, o: int) -> int:
         W, G = elbo_mod.step_inputs(hmm, state.summaries.v, hist, o)
     x = np.array([b for b in hist.updatable_logits() if b is not None])
     x, applied, stalled = kernel.psi_ascent(
-        x, W, G, sched.psi_updates_per_obs, sched.psi_step, sched.line_search)
+        x, W, G, sched.psi_updates_per_obs, sched.psi_step)
     state.stalls_total += stalled
     if state.tau == 1:
         hist.set_updatable(rho_curr=x[0])
@@ -213,18 +210,11 @@ def _theta_phase(state: LearnerState, o: int) -> int:
         pa = hist.belief(state.tau - 1)
         ubar = pa @ state.summaries.u
 
-    def objective(theta: np.ndarray) -> float:
-        # the full fold at the candidate parameters: O(tau) per evaluation,
-        # paid only when line_search monitors the true objective
-        h = build_hmm(state.mu, ModelParams(*kernel.theta_rows(theta, K, M)))
-        s = elbo_mod.scratch_summaries(h, hist, state.observations)
-        return elbo_mod.finish(s, hist)
-
     theta = np.concatenate([state.params.alpha_tilde.ravel(),
                             state.params.beta_tilde.ravel()])
     theta, applied, stalled = kernel.theta_ascent(
         theta, ubar, pa, pb, o - 1, sched.theta_updates_per_obs,
-        sched.theta_step / state.tau, sched.line_search, objective)
+        sched.theta_step / state.tau)
     state.stalls_total += stalled
     if applied:
         state.params = ModelParams(*kernel.theta_rows(theta, K, M))
@@ -237,7 +227,8 @@ def ingest(state: LearnerState, observation: int) -> TraceRecord:
     refresh summaries, record.
 
     All or nothing: when any step fails, the state is put back as it was
-    before the call and the error is raised again.
+    before the call and the error is raised again: a ConstraintError with
+    the failing tau prepended to its message, any other error unchanged.
     """
     t_start = time.perf_counter()
     o = int(observation)
@@ -282,9 +273,12 @@ def ingest(state: LearnerState, observation: int) -> TraceRecord:
             # does not restore them
             state.ref_logz = log_evidence
             state.ref_pred = ref.B.T @ marg
-    except Exception as exc:
+    except ConstraintError as exc:
         _roll_back(state, saved)
-        raise type(exc)(f"ingest failed at tau={state.tau + 1}: {exc}") from exc
+        raise ConstraintError(f"ingest failed at tau={state.tau + 1}: {exc}") from exc
+    except Exception:
+        _roll_back(state, saved)
+        raise
 
     wall_ms = (time.perf_counter() - t_start) * 1000.0
     return TraceRecord(tau=state.tau, elbo=elbo_value, log_evidence=log_evidence,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,38 +50,6 @@ def _check_block(rho, K: Optional[int] = None) -> np.ndarray:
     if rho[0] != 0.0:
         raise ConstraintError("rho block pinning violated: first entry must be 0")
     return _frozen(rho)
-
-
-@dataclass(frozen=True)
-class MfaHyperparams:
-    """Current belief blocks, one pinned logit row per time step 1..tau."""
-
-    rho: tuple  # tuple of read-only (K,) arrays
-
-    def __post_init__(self):
-        blocks = tuple(_check_block(b) for b in self.rho)
-        if not blocks:
-            raise ConstraintError("at least one rho block is required")
-        K = blocks[0].shape[0]
-        for b in blocks:
-            if b.shape[0] != K:
-                raise ConstraintError("rho blocks disagree on K")
-        object.__setattr__(self, "rho", blocks)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.rho)
-
-    @property
-    def K(self) -> int:
-        return self.rho[0].shape[0]
-
-
-def marginal(hyperparams: MfaHyperparams, t: int) -> np.ndarray:
-    """Marginal over s_t (1-based t) under the current beliefs."""
-    if not 1 <= t <= hyperparams.horizon:
-        raise ConstraintError(f"t must lie in 1..{hyperparams.horizon}")
-    return softmax_row(hyperparams.rho[t - 1])
 
 
 class MfaHistory:
@@ -139,10 +107,6 @@ class MfaHistory:
     def updatable_logits(self) -> tuple:
         """(revision block or None, current block) of the newest snapshot."""
         return self._snapshots[-1]
-
-    def hyperparams(self) -> MfaHyperparams:
-        return MfaHyperparams(rho=tuple(self.belief_logits(t)
-                                        for t in range(1, self.horizon + 1)))
 
     # -- mutation ------------------------------------------------------------
 
@@ -230,9 +194,6 @@ class MfaHistory:
 
 # -- augmentation -------------------------------------------------------------
 
-InitRule = Union[str, Callable[["MfaHistory"], np.ndarray]]
-
-
 def prediction_logits(hmm: GenerativeHMM, history: MfaHistory) -> np.ndarray:
     """One-step-prediction initializer: push the newest marginal through the
     transition matrix and convert back to pinned logits."""
@@ -241,18 +202,15 @@ def prediction_logits(hmm: GenerativeHMM, history: MfaHistory) -> np.ndarray:
     return logits - logits[0]
 
 
-def augment(history: MfaHistory, init_rule: InitRule = "uniform",
+def augment(history: MfaHistory, init_rule: str = "uniform",
             hmm: Optional[GenerativeHMM] = None) -> MfaHistory:
     """Grow the horizon by one (in place; the history object is returned).
 
     The revision block starts as the outgoing belief (no revision yet) and
     the fresh block follows init_rule: "uniform"/"zeros" for zero logits,
-    "prediction" for the one-step prediction under hmm, or a callable
-    history -> logits.
+    "prediction" for the one-step prediction under hmm.
     """
-    if callable(init_rule):
-        rho = np.asarray(init_rule(history), dtype=float)
-    elif init_rule in ("uniform", "zeros"):
+    if init_rule in ("uniform", "zeros"):
         rho = np.zeros(history.K)
     elif init_rule == "prediction":
         if hmm is None:

@@ -284,18 +284,6 @@ def log_joint(hmm: GenerativeHMM, trajectory: Trajectory) -> float:
     return total
 
 
-def stationary_distribution(B: np.ndarray, iters: int = 10_000, tol: float = 1e-13) -> np.ndarray:
-    """Stationary row vector of a row-stochastic matrix by power iteration."""
-    B = np.asarray(B, dtype=float)
-    w = np.full(B.shape[0], 1.0 / B.shape[0])
-    for _ in range(iters):
-        nxt = w @ B
-        if np.max(np.abs(nxt - w)) < tol:
-            return nxt
-        w = nxt
-    return w
-
-
 # --- config round trip -------------------------------------------------------
 
 _MODEL_KEYS = {"K", "M", "mu", "alpha_tilde", "beta_tilde", "A", "B"}

@@ -112,7 +112,7 @@ def test_gradients_match_finite_differences():
         worst_theta = max(worst_theta,
                           max_grad_error(g, finite_diff_grad(f_theta, free0)))
 
-        gp = elbo_mod.grad_psi(hmm, hist, obs).free_vector()
+        gp = elbo_mod.grad_psi(hmm, hist, obs)
         if hist.horizon >= 2:
             a0, b0 = hist.updatable_logits()
             x0 = np.concatenate([a0[1:], b0[1:]])

@@ -182,6 +182,7 @@ def test_fit_rejects_states_file_as_data(tmp_path):
     lambda d: d["schedule"].update(step="big"),
     lambda d: d["schedule"].update(psi_step=-1.0),
     lambda d: d["schedule"].update(line_search="false"),
+    lambda d: d["schedule"].update(line_search=True),
     lambda d: d.update(out={"weird": "x.csv"}),
 ])
 def test_bad_config_exits_2(tmp_path, mutate):
@@ -430,3 +431,22 @@ def test_gradcheck_prints_one_line_per_check(tmp_path, capsys):
     run(["gradcheck", "--config", cfgp, "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
+
+
+# -- report paths -------------------------------------------------------------
+
+@pytest.mark.parametrize("out", [{"reprot": "r.json"}, "r.json"],
+                         ids=["misspelt-key", "not-an-object"])
+@pytest.mark.parametrize("command", ["compare", "gradcheck"])
+def test_malformed_report_out_exits_2(tmp_path, command, out):
+    # a misspelt or non-object out once fell back to the default report name
+    if command == "compare":
+        doc = _compare_doc(tmp_path, [_candidate("a", dict(TRUTH_MODEL))])
+    else:
+        doc = {"instances": 1}
+    doc["out"] = out
+    cfgp = write_json(tmp_path / "c.json", doc)
+    assert run([command, "--config", cfgp, "--out", str(tmp_path),
+                "--quiet"]) == 2
+    assert not (tmp_path / f"{command}.json").exists()
+    assert not (tmp_path / "r.json").exists()

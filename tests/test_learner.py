@@ -21,7 +21,7 @@ from vfe_stream.learner import (
     summary_dict,
 )
 from vfe_stream.kernel import ascent_step
-from vfe_stream.mfa import MfaHistory, augment
+from vfe_stream.mfa import MfaHistory
 from vfe_stream.model import (
     ConstraintError,
     ModelParams,
@@ -49,7 +49,6 @@ def test_schedule_defaults():
     assert s.theta_updates_per_obs == 50
     assert s.psi_step == 0.1
     assert s.theta_step == 0.01
-    assert s.line_search is False
 
 
 def test_schedule_allows_zero_update_counts():
@@ -100,40 +99,8 @@ def test_ascent_step_nonfinite_gradient_stalls():
     y, stalled = ascent_step(x, np.array([np.nan]), 0.1)
     assert stalled
     assert np.array_equal(y, x)
-    _, stalled = ascent_step(x, np.array([np.inf]), 0.1, line_search=True,
-                             objective=lambda v: 0.0)
+    _, stalled = ascent_step(x, np.array([np.inf]), 0.1)
     assert stalled
-
-
-def test_ascent_step_line_search_needs_objective():
-    with pytest.raises(ConstraintError):
-        ascent_step(np.zeros(1), np.ones(1), 0.1, line_search=True)
-
-
-def test_ascent_step_line_search_monotone_on_quadratic():
-    # f(x) = -(x - 3)^2, start far away with an absurd step: backtracking
-    # must keep every accepted move non-decreasing and still converge
-    f = lambda v: -float((v[0] - 3.0) ** 2)
-    x = np.array([-20.0])
-    last = f(x)
-    for _ in range(100):
-        g = np.array([-2.0 * (x[0] - 3.0)])
-        x, stalled = ascent_step(x, g, 10.0, line_search=True, objective=f)
-        assert not stalled
-        now = f(x)
-        assert now >= last - 1e-12
-        last = now
-    assert abs(x[0] - 3.0) < 1e-3
-
-
-def test_ascent_step_line_search_stalls_when_no_improvement_possible():
-    # gradient deliberately points downhill: every trial step decreases the
-    # objective, the halvings exhaust, and the old point is kept
-    f = lambda v: -float(v @ v)
-    x = np.array([1.0, 1.0])
-    y, stalled = ascent_step(x, x.copy(), 1.0, line_search=True, objective=f)
-    assert stalled
-    assert np.array_equal(y, x)
 
 
 # -- trace ------------------------------------------------------------------
@@ -295,52 +262,6 @@ def test_seeded_stream_tracks_evidence():
     assert last.gap / 200.0 < 0.02
     for rec in res.trace.records:
         assert rec.gap >= -1e-10
-
-
-# -- line search at stream level --------------------------------------------
-
-def test_line_search_protects_absurd_steps():
-    hmm = random_hmm(K=2, M=2, seed=31)
-    params = ModelParams.random(StateSpace(K=2, M=2), seed=32)
-    obs = random_obs(2, 12, seed=33)
-    sched = Schedule(psi_updates_per_obs=10, theta_updates_per_obs=5,
-                     psi_step=50.0, theta_step=20.0, line_search=True)
-    res = run_stream(params, hmm.mu, obs, sched, oracle_enabled="self")
-    for rec in res.trace.records:
-        assert np.isfinite(rec.elbo)
-        assert rec.gap >= -1e-10
-
-
-def test_psi_inner_loop_monotone_with_line_search():
-    # replicate one belief-update inner loop through the public local pieces:
-    # with backtracking every accepted iterate improves the step objective
-    hmm = random_hmm(K=3, M=2, seed=41)
-    params = ModelParams.random(StateSpace(K=3, M=2), seed=42)
-    state = init_learner(params, hmm.mu,
-                         Schedule(psi_updates_per_obs=3, theta_updates_per_obs=0))
-    obs = random_obs(2, 6, seed=43)
-    for o in obs:
-        ingest(state, o)
-    hist = state.history
-    o_next = 1
-    augment(hist, "prediction", state.hmm)
-    state.observations.append(o_next)
-    state.tau += 1
-    W, _ = elbo_mod.step_inputs(state.hmm, state.summaries.v, hist, o_next)
-    G = state.hmm.log_B + state.hmm.log_A[:, o_next - 1][None, :]
-    a, b = (x.copy() for x in hist.updatable_logits())
-    K = a.shape[0]
-    x = np.concatenate([a, b])
-    objective = lambda v: elbo_mod.local_elbo(W, G, v[:K], v[K:])
-    last = objective(x)
-    for _ in range(80):
-        ga, gb = elbo_mod.local_psi_gradient(W, G, x[:K], x[K:])
-        x, stalled = ascent_step(x, np.concatenate([ga, gb]), 0.5,
-                                 line_search=True, objective=objective)
-        assert not stalled
-        now = objective(x)
-        assert now >= last - 1e-9
-        last = now
 
 
 # -- short-term memory -------------------------------------------------------

@@ -4,13 +4,11 @@ import pytest
 from vfe_stream.mfa import (
     MfaFamily,
     MfaHistory,
-    MfaHyperparams,
     augment,
     extension_factor,
     full_q,
     hat_elbo,
     m_conditional,
-    marginal,
     pairwise_tables_from_history,
     prediction_logits,
 )
@@ -38,28 +36,6 @@ def random_history(K: int, tau: int, seed: int) -> MfaHistory:
         augment(h, "uniform")
         h.set_updatable(pin(rng.normal(size=K)), pin(rng.normal(size=K)))
     return h
-
-
-def test_marginal_closed_forms():
-    hp = MfaHyperparams(rho=[np.zeros(3)])
-    assert np.allclose(marginal(hp, 1), [1 / 3] * 3, atol=1e-15)
-    hp1 = MfaHyperparams(rho=[np.zeros(1)])
-    assert marginal(hp1, 1).tolist() == [1.0]
-    hp2 = MfaHyperparams(rho=[np.array([0.0, np.log(4.0)])])
-    assert np.allclose(marginal(hp2, 1), [0.2, 0.8], atol=1e-12)
-
-
-def test_marginal_range_check():
-    hp = MfaHyperparams(rho=[np.zeros(2), pin([0.0, 0.3])])
-    with pytest.raises(ConstraintError):
-        marginal(hp, 3)
-    with pytest.raises(ConstraintError):
-        marginal(hp, 0)
-
-
-def test_hyperparams_pinning_enforced():
-    with pytest.raises(ConstraintError):
-        MfaHyperparams(rho=[np.array([0.1, 0.0])])
 
 
 def test_m_conditional_no_revision():

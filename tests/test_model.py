@@ -15,7 +15,6 @@ from vfe_stream.model import (
     log_softmax_row,
     sample_trajectory,
     softmax_row,
-    stationary_distribution,
 )
 
 from helpers import near_identity_params
@@ -215,15 +214,6 @@ def test_trajectory_validation():
         log_joint(hmm, Trajectory(states=(0, 1), observations=(1, 1)))
     with pytest.raises(ConstraintError):
         log_joint(hmm, Trajectory(states=(1, 1), observations=(1, 3)))
-
-
-def test_stationary_distribution_closed_form():
-    # two-state chain [[1-a, a], [b, 1-b]] has stationary [b, a] / (a+b)
-    a, b = 0.3, 0.1
-    B = np.array([[1 - a, a], [b, 1 - b]])
-    pi = stationary_distribution(B)
-    assert np.allclose(pi, [b / (a + b), a / (a + b)], atol=1e-10)
-    assert np.allclose(pi @ B, pi, atol=1e-10)
 
 
 def test_hmm_from_config_both_forms():
