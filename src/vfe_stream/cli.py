@@ -73,6 +73,15 @@ def _require_keys(doc: dict, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"missing {where} fields: {sorted(missing)}")
 
 
+def _out_names(out: dict, allowed: set) -> dict:
+    """Validated copy of an out object: known keys, non-empty file names."""
+    _require_keys(out, allowed, set(), "out")
+    for key, name in out.items():
+        if not isinstance(name, str) or not name:
+            raise ConfigError(f"out.{key} must be a non-empty file name")
+    return dict(out)
+
+
 _FAMILIES = {f.value: f for f in MfaFamily}
 
 
@@ -127,12 +136,11 @@ class ExperimentConfig:
             oracle = "off"
         if oracle not in ("off", "self", "reference"):
             raise ConfigError("oracle must be off, self, reference or a boolean")
-        out = doc.get("out", {})
-        _require_keys(out, {"data", "states", "trace", "summary", "report"},
-                      set(), "out")
+        out = _out_names(doc.get("out", {}),
+                         {"data", "states", "trace", "summary", "report"})
         return ExperimentConfig(hmm=hmm, seed=seed, init_seed=init_seed,
                                 length=length, schedule=schedule, family=family,
-                                init_rule=init_rule, oracle=oracle, out=dict(out))
+                                init_rule=init_rule, oracle=oracle, out=out)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -152,8 +160,7 @@ def _out_path(cfg: ExperimentConfig, key: str, out_dir: str, default: str) -> st
 def _report_path(doc: dict, out_dir: str, default: str) -> str:
     """Report path of a compare or gradcheck config: its only out field is
     report."""
-    out = doc.get("out", {})
-    _require_keys(out, {"report"}, set(), "out")
+    out = _out_names(doc.get("out", {}), {"report"})
     return os.path.join(out_dir, out.get("report", default))
 
 

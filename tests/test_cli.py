@@ -183,6 +183,7 @@ def test_fit_rejects_states_file_as_data(tmp_path):
     lambda d: d["schedule"].update(psi_step=-1.0),
     lambda d: d["schedule"].update(line_search="false"),
     lambda d: d["schedule"].update(line_search=True),
+    lambda d: d["schedule"].update(line_search=False),
     lambda d: d.update(out={"weird": "x.csv"}),
 ])
 def test_bad_config_exits_2(tmp_path, mutate):
@@ -450,3 +451,45 @@ def test_malformed_report_out_exits_2(tmp_path, command, out):
                 "--quiet"]) == 2
     assert not (tmp_path / f"{command}.json").exists()
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "gradcheck"])
+def test_report_out_names_the_report_file(tmp_path, command):
+    if command == "compare":
+        doc = _compare_doc(tmp_path, [_candidate("a", dict(TRUTH_MODEL))])
+    else:
+        doc = {"instances": 1}
+    doc["out"] = {"report": "r.json"}
+    cfgp = write_json(tmp_path / "c.json", doc)
+    assert run([command, "--config", cfgp, "--out", str(tmp_path),
+                "--quiet"]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize("name", [None, 5, ""], ids=["null", "number", "empty"])
+@pytest.mark.parametrize("command,key", [
+    ("generate", "data"), ("generate", "states"), ("fit", "trace"),
+    ("fit", "summary"), ("compare", "report"), ("gradcheck", "report"),
+])
+def test_non_string_out_name_exits_2(tmp_path, command, key, name):
+    # such names once reached os.path.join or open: a traceback, and for fit
+    # only after the whole stream had been fitted
+    gen = write_json(tmp_path / "gen.json", base_config(length=20))
+    run(["generate", "--config", gen, "--out", str(tmp_path), "--quiet"])
+    data = str(tmp_path / "data.jsonl")
+    if command == "compare":
+        doc = {"data": data,
+               "candidates": [_candidate("a", dict(TRUTH_MODEL))]}
+    elif command == "gradcheck":
+        doc = {"instances": 1}
+    else:
+        doc = base_config(length=20)
+    doc["out"] = {key: name}
+    cfgp = write_json(tmp_path / "c.json", doc)
+    argv = [command, "--config", cfgp, "--out", str(tmp_path), "--quiet"]
+    if command == "fit":
+        argv += ["--data", data]
+    before = sorted(os.listdir(tmp_path))
+    assert run(argv) == 2
+    assert sorted(os.listdir(tmp_path)) == before

@@ -3,6 +3,7 @@ validated public pieces, plus the failure behaviour the loops keep: stalls
 on non-finite gradients, ConstraintError on non-finite logits, and a
 failed ingest that leaves the learner as it was."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 from helpers import near_identity_params, random_hmm, random_obs
 
 from vfe_stream import elbo as elbo_mod
+from vfe_stream import kernel
+from vfe_stream import learner
 from vfe_stream.elbo import ThetaGrad, apply_theta_step
 from vfe_stream.kernel import ascent_step
 from vfe_stream.learner import Schedule, ingest, init_learner
@@ -137,6 +140,47 @@ def test_kernel_matches_validated_reference(K, family, budgets):
                              - ref.hist.belief(t))) <= 1e-12
     if budgets[1] == 0:
         assert state.params is p0
+
+
+@pytest.mark.parametrize("budgets", [(0, 0), (6, 0), (0, 3), (9, 3)])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
+                                                            budgets):
+    # each observation costs one gradient per ascent step, one fold step and
+    # at most one model rebuild, whatever tau is; nothing refolds the stream
+    M = 3
+    truth = random_hmm(K, M, seed=K)
+    sched = Schedule(psi_updates_per_obs=budgets[0],
+                     theta_updates_per_obs=budgets[1], psi_step=1.5,
+                     theta_step=2.0)
+    state = init_learner(ModelParams.random(StateSpace(K, M), seed=20 + K),
+                         truth.mu, sched)
+    calls = collections.Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the stream was refolded")
+
+    counted(kernel, "ascent_step")
+    counted(elbo_mod, "fold_step")
+    counted(learner, "build_hmm")
+    monkeypatch.setattr(elbo_mod, "scratch_summaries", refused)
+    monkeypatch.setattr(elbo_mod, "elbo_recursive", refused)
+    for o in random_obs(M, TAU, seed=K):
+        calls.clear()
+        rec = ingest(state, o)
+        assert rec.stalls == 0
+        assert (rec.psi_updates, rec.theta_updates) == budgets
+        assert calls["ascent_step"] == sum(budgets)
+        assert calls["fold_step"] == (rec.tau > 1)
+        assert calls["build_hmm"] == (budgets[1] > 0)
 
 
 def _warm_state(schedule, n=5, params=None):

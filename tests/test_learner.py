@@ -103,6 +103,23 @@ def test_ascent_step_nonfinite_gradient_stalls():
     assert stalled
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_ascent_step_one_nonfinite_entry_stalls_the_whole_step(bad):
+    x = np.array([1.0, 2.0, 3.0])
+    y, stalled = ascent_step(x, np.array([0.5, bad, -1.0]), 0.1)
+    assert stalled
+    assert np.array_equal(y, x)
+
+
+def test_ascent_step_leaves_its_input_alone():
+    x = np.array([1.0, -2.0])
+    y, stalled = ascent_step(x, np.array([1.0, 1.0]), 0.5)
+    assert not stalled
+    assert np.array_equal(x, [1.0, -2.0])
+    assert np.array_equal(y, [1.5, -1.5])
+
+
 # -- trace ------------------------------------------------------------------
 
 def _rec(tau, **kw):
