@@ -82,6 +82,17 @@ def _out_names(out: dict, allowed: set) -> dict:
     return dict(out)
 
 
+def _json_field(doc: dict, key: str, default, kind: type):
+    """doc[key], or default when absent, checked to be a JSON integer (kind
+    int) or a JSON boolean (kind bool).  Python's int() and bool() would
+    quietly take 2.9, "abc" or "false", and a bool is an int to isinstance."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be true or false" if kind is bool
+                          else f"{key} must be an integer")
+    return value
+
+
 _FAMILIES = {f.value: f for f in MfaFamily}
 
 
@@ -108,9 +119,9 @@ class ExperimentConfig:
             hmm = hmm_from_config(doc["model"])
         except ConstraintError as exc:
             raise ConfigError(f"model: {exc}") from exc
-        seed = int(doc["seed"])
-        init_seed = int(doc.get("init_seed", seed))
-        length = int(doc["length"])
+        seed = _json_field(doc, "seed", None, int)
+        init_seed = _json_field(doc, "init_seed", seed, int)
+        length = _json_field(doc, "length", None, int)
         if length < 0:
             raise ConfigError("length must be >= 0")
         sched_doc = doc.get("schedule", {})
@@ -410,12 +421,12 @@ def _gradcheck_instance(K: int, M: int, tau: int, seed: int,
 def cmd_gradcheck(doc: dict, out_dir: str, quiet: bool) -> int:
     allowed = {"K", "M", "tau", "instances", "seed", "negative_control", "out"}
     _require_keys(doc, allowed, set(), "gradcheck config")
-    K = int(doc.get("K", 2))
-    M = int(doc.get("M", 2))
-    tau = int(doc.get("tau", 5))
-    instances = int(doc.get("instances", 10))
-    seed0 = int(doc.get("seed", 0))
-    corrupt = bool(doc.get("negative_control", False))
+    K = _json_field(doc, "K", 2, int)
+    M = _json_field(doc, "M", 2, int)
+    tau = _json_field(doc, "tau", 5, int)
+    instances = _json_field(doc, "instances", 10, int)
+    seed0 = _json_field(doc, "seed", 0, int)
+    corrupt = _json_field(doc, "negative_control", False, bool)
     if K < 1 or M < 1 or tau < 1 or instances < 1:
         raise ConfigError("K, M, tau, instances must be >= 1")
     if K ** tau > ENUMERATION_GUARD:

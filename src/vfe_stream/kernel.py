@@ -1,20 +1,22 @@
 """Raw-array inner loops of the streaming learner.
 
-The belief (psi) ascent, the parameter (theta) ascent and the (V, U) fold
-step run here on plain float arrays: logit rows with a row-wise
-log-softmax in one vectorised call, and theta as one flat vector laid out
-like the rows of U, [alpha_tilde.ravel(), beta_tilde.ravel()].  Nothing in
-this module validates.  Callers take the inputs from values that are
-already validated (the learner state, the belief history, the model) and
-validate the results once on the way out, so a step that makes a logit
+The belief (psi) ascent and the parameter (theta) ascent are one operation:
+gradient steps on a flat vector of pinned softmax rows (each row's first
+logit stays 0), with all rows' softmax taken in one segmented pass.  psi
+stacks the updatable belief blocks; theta is laid out like the rows of U,
+[alpha_tilde.ravel(), beta_tilde.ravel()].  The (V, U) fold step is here too.
+
+Nothing in this module validates.  Callers take the inputs from values that
+are already validated (the learner state, the belief history, the model)
+and validate the results once on the way out, so a step that makes a logit
 non-finite still ends in ConstraintError there.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import functools
 
-from .model import log_softmax
+import numpy as np
 
 
 def ascent_step(x: np.ndarray, gradient: np.ndarray, step: float) -> tuple:
@@ -22,18 +24,48 @@ def ascent_step(x: np.ndarray, gradient: np.ndarray, step: float) -> tuple:
     a stall.  Nothing is clipped."""
     x = np.asarray(x, dtype=float)
     g = np.asarray(gradient, dtype=float)
-    if not np.isfinite(g).all():
+    if not np.logical_and.reduce(np.isfinite(g)):
         return x, True
     return x + step * g, False
 
 
 def _ascend(x: np.ndarray, gradient, steps: int, step: float) -> tuple:
     """Up to `steps` ascent steps; returns (x, applied, stalled)."""
-    for applied in range(steps):
-        x, stalled = ascent_step(x, gradient(x), step)
-        if stalled:
-            return x, applied, True
+    with np.errstate(invalid="ignore", over="ignore"):
+        for applied in range(steps):
+            x, stalled = ascent_step(x, gradient(x), step)
+            if stalled:
+                return x, applied, True
     return x, steps, False
+
+
+# -- pinned softmax rows ------------------------------------------------------
+
+class _Rows:
+    """Layout of consecutive rows of the given widths in one flat vector:
+    the start of each row, the row index of each coordinate and a 0/1 mask
+    that is 0 at each row's pinned first coordinate.  Read-only, since one
+    cached instance serves every learner of the same shape."""
+
+    def __init__(self, widths: tuple):
+        self.starts = np.cumsum((0,) + widths[:-1])
+        self.row = np.repeat(np.arange(len(widths)), widths)
+        self.free = np.ones(sum(widths))
+        self.free[self.starts] = 0.0
+        for a in (self.starts, self.row, self.free):
+            a.flags.writeable = False
+
+    def rowsum(self, x: np.ndarray) -> np.ndarray:
+        """The sum of each coordinate's row."""
+        return np.add.reduceat(x, self.starts)[self.row]
+
+    def softmax(self, x: np.ndarray) -> np.ndarray:
+        """Row-wise softmax of x, shifted by each row's maximum."""
+        e = np.exp(x - np.maximum.reduceat(x, self.starts)[self.row])
+        return e / self.rowsum(e)
+
+
+_layout = functools.lru_cache(maxsize=None)(_Rows)
 
 
 # -- beliefs ------------------------------------------------------------------
@@ -50,24 +82,27 @@ def psi_ascent(x: np.ndarray, W: np.ndarray, G, steps: int,
         pi_a . (W - ln pi_a) + pi_a G pi_b - pi_b . ln pi_b,
 
     the final fold step of the streaming objective with everything older
-    held fixed (elbo.step_inputs gives W and G).  The pinned first logit of
-    each row gets a zero gradient, so pinning is kept exactly.
+    held fixed (elbo.step_inputs gives W and G).  On p = [pi_a, pi_b] the
+    gradient is free * p * (c - rowsum(p * c)) with c = W' - ln p + H p,
+    H = [[0, G], [G^T, 0]] and W' = [W, 0].  c takes -x for -ln p: they
+    differ by a constant per row, which the centring removes.
     """
-    def gradient(x):
-        log_p = log_softmax(x)
-        p = np.exp(log_p)
-        if G is None:
-            c = W - log_p
-        else:
-            c = np.empty_like(x)
-            c[0] = W + G @ p[1] - log_p[0]
-            c[1] = G.T @ p[0] - log_p[1]
-        g = p * (c - (p * c).sum(axis=1, keepdims=True))
-        g[:, 0] = 0.0
-        return g
+    n, K = x.shape
+    rows = _layout((K,) * n)
+    H = np.zeros((n * K, n * K))
+    if G is not None:
+        H[:K, K:] = G
+        H[K:, :K] = G.T
+    w = np.zeros(n * K)
+    w[:K] = W
 
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _ascend(x, gradient, steps, step)
+    def gradient(x):
+        p = rows.softmax(x)
+        c = w - x + H @ p
+        return rows.free * p * (c - rows.rowsum(p * c))
+
+    x, applied, stalled = _ascend(x.ravel(), gradient, steps, step)
+    return x.reshape(n, K), applied, stalled
 
 
 # -- parameters ---------------------------------------------------------------
@@ -86,26 +121,22 @@ def theta_ascent(theta: np.ndarray, ubar: np.ndarray, pa, pb: np.ndarray,
     the revision marginal pa, fixed within one observation) plus the fresh
     final-step part, which tracks the moving parameters: pb (onehot(o) - A)
     per emission row and pa (pb - B) per transition row.  pa is None at
-    horizon 1, where no transition has been observed yet.
+    horizon 1, where no transition has been observed yet.  The fresh part
+    is w (t - p), with weights w (0 when pinned) and targets t fixed here.
     """
     K = pb.shape[0]
     M = ubar.shape[0] // K - K
+    rows = _layout((M,) * K + (K,) * K)
     eo = np.zeros(M)
     eo[o_idx] = 1.0
-    fresh = np.zeros_like(ubar)
-    fa, fb = theta_rows(fresh, K, M)
+    pa_w = np.zeros(K * K) if pa is None else np.repeat(pa, K)
+    w = rows.free * np.concatenate([np.repeat(pb, M), pa_w])
+    t = np.concatenate([np.tile(eo, K), np.tile(pb, K)])
 
     def gradient(theta):
-        alpha, beta = theta_rows(theta, K, M)
-        fa[:] = pb[:, None] * (eo - np.exp(log_softmax(alpha)))
-        if pa is not None:
-            fb[:] = pa[:, None] * (pb - np.exp(log_softmax(beta)))
-        fa[:, 0] = 0.0
-        fb[:, 0] = 0.0
-        return ubar + fresh
+        return ubar + w * (t - rows.softmax(theta))
 
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _ascend(theta, gradient, steps, step)
+    return _ascend(theta, gradient, steps, step)
 
 
 # -- the (V, U) fold ----------------------------------------------------------

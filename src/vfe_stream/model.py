@@ -69,10 +69,9 @@ class StateSpace:
     M: int
 
     def __post_init__(self):
-        if not (isinstance(self.K, int) and self.K >= 1):
-            raise ConstraintError("K must be an integer >= 1")
-        if not (isinstance(self.M, int) and self.M >= 1):
-            raise ConstraintError("M must be an integer >= 1")
+        for name, n in (("K", self.K), ("M", self.M)):
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                raise ConstraintError(f"{name} must be an integer >= 1")
 
 
 def _check_pinned(rows: np.ndarray, name: str) -> None:
@@ -305,7 +304,7 @@ def hmm_from_config(doc: dict) -> GenerativeHMM:
     for key in ("K", "M"):
         if key not in doc:
             raise ConstraintError(f"model config missing required field '{key}'")
-    space = StateSpace(int(doc["K"]), int(doc["M"]))
+    space = StateSpace(doc["K"], doc["M"])
     has_logits = "alpha_tilde" in doc or "beta_tilde" in doc
     has_matrices = "A" in doc or "B" in doc
     if has_logits and has_matrices:

@@ -493,3 +493,49 @@ def test_non_string_out_name_exits_2(tmp_path, command, key, name):
     before = sorted(os.listdir(tmp_path))
     assert run(argv) == 2
     assert sorted(os.listdir(tmp_path)) == before
+
+
+# -- typed config fields ------------------------------------------------------
+
+_UNTYPED = [
+    ("gradcheck", ("negative_control",), "false"),
+    ("gradcheck", ("negative_control",), 1),
+    ("gradcheck", ("K",), "two"),
+    ("gradcheck", ("K",), 2.9),
+    ("gradcheck", ("M",), None),
+    ("gradcheck", ("tau",), "5"),
+    ("gradcheck", ("instances",), True),
+    ("gradcheck", ("seed",), 1.7),
+    ("fit", ("seed",), None),
+    ("fit", ("seed",), 1.7),
+    ("fit", ("init_seed",), "3"),
+    ("fit", ("length",), "abc"),
+    ("fit", ("model", "K"), 2.9),
+    ("fit", ("model", "M"), "2"),
+    ("generate", ("seed",), None),
+    ("generate", ("length",), "abc"),
+    ("generate", ("length",), 40.0),
+]
+
+
+@pytest.mark.parametrize(
+    "command,path,value", _UNTYPED,
+    ids=[f"{c}-{'.'.join(p)}-{json.dumps(v)}" for c, p, v in _UNTYPED])
+def test_untyped_config_field_exits_2(tmp_path, capsys, command, path, value):
+    # int() and bool() once took these: "false" turned the negative control
+    # on, 2.9 ran K = 2, and null or "abc" ended in a traceback
+    gen = write_json(tmp_path / "gen.json", base_config(length=20))
+    run(["generate", "--config", gen, "--out", str(tmp_path), "--quiet"])
+    doc = {"instances": 1} if command == "gradcheck" else base_config(length=20)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    cfgp = write_json(tmp_path / "c.json", doc)
+    argv = [command, "--config", cfgp, "--out", str(tmp_path), "--quiet"]
+    if command == "fit":
+        argv += ["--data", str(tmp_path / "data.jsonl")]
+    before = sorted(os.listdir(tmp_path))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(os.listdir(tmp_path)) == before

@@ -115,11 +115,12 @@ class Reference:
 
 @pytest.mark.parametrize("budgets", [(0, 0), (6, 0), (0, 3), (9, 3)])
 @pytest.mark.parametrize("family", [MfaFamily.REVERSED, MfaFamily.FULLY_DECOUPLED])
-@pytest.mark.parametrize("K", [1, 2, 3])
-def test_kernel_matches_validated_reference(K, family, budgets):
+# rows of unequal width (K != M) are where a segment off-by-one would show
+@pytest.mark.parametrize("K,M", [(1, 3), (2, 3), (3, 3), (4, 2), (2, 5)],
+                         ids=["1", "2", "3", "4-2", "2-5"])
+def test_kernel_matches_validated_reference(K, M, family, budgets):
     # both family names denote the product of the final marginals, so both
     # must run the one reference path
-    M = 3
     truth = random_hmm(K, M, seed=K)
     p0 = ModelParams.random(StateSpace(K, M), seed=20 + K)
     sched = Schedule(psi_updates_per_obs=budgets[0],
@@ -181,6 +182,41 @@ def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
         assert calls["ascent_step"] == sum(budgets)
         assert calls["fold_step"] == (rec.tau > 1)
         assert calls["build_hmm"] == (budgets[1] > 0)
+
+
+def _stream(K, M, seed):
+    truth = random_hmm(K, M, seed=seed)
+    sched = Schedule(psi_updates_per_obs=7, theta_updates_per_obs=4,
+                     psi_step=1.5, theta_step=2.0)
+    state = init_learner(ModelParams.random(StateSpace(K, M), seed=seed),
+                         truth.mu, sched)
+    return state, random_obs(M, TAU, seed=seed)
+
+
+def test_learners_of_different_shapes_share_no_layout_state():
+    # the row layouts are cached per tuple of row widths: two shapes in one
+    # process, interleaved, must each end exactly where they end alone
+    alone = []
+    for K, M in ((2, 3), (3, 2)):
+        state, obs = _stream(K, M, seed=K)
+        for o in obs:
+            ingest(state, o)
+        alone.append(state)
+    (a, obs_a), (b, obs_b) = _stream(2, 3, seed=2), _stream(3, 2, seed=3)
+    for oa, ob in zip(obs_a, obs_b):
+        ingest(a, oa)
+        ingest(b, ob)
+    for mixed, solo in zip((a, b), alone):
+        _assert_same_learner(mixed, solo)
+        assert np.array_equal(mixed.hmm.A, solo.hmm.A)
+        assert np.array_equal(mixed.hmm.B, solo.hmm.B)
+
+
+@pytest.mark.parametrize("field", ["starts", "row", "free"])
+def test_cached_layout_is_read_only(field):
+    kernel.psi_ascent(np.zeros((2, 3)), np.zeros(3), np.zeros((3, 3)), 1, 0.1)
+    with pytest.raises(ValueError):
+        getattr(kernel._layout((3, 3)), field)[0] = 1
 
 
 def _warm_state(schedule, n=5, params=None):
