@@ -14,8 +14,6 @@ non-finite still ends in ConstraintError there.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 
@@ -24,7 +22,7 @@ def ascent_step(x: np.ndarray, gradient: np.ndarray, step: float) -> tuple:
     a stall.  Nothing is clipped."""
     x = np.asarray(x, dtype=float)
     g = np.asarray(gradient, dtype=float)
-    if not np.logical_and.reduce(np.isfinite(g)):
+    if not np.logical_and.reduce(np.isfinite(g), axis=None):
         return x, True
     return x + step * g, False
 
@@ -44,16 +42,14 @@ def _ascend(x: np.ndarray, gradient, steps: int, step: float) -> tuple:
 class _Rows:
     """Layout of consecutive rows of the given widths in one flat vector:
     the start of each row, the row index of each coordinate and a 0/1 mask
-    that is 0 at each row's pinned first coordinate.  Read-only, since one
-    cached instance serves every learner of the same shape."""
+    that is 0 at each row's pinned first coordinate.  Built once per call
+    of an ascent loop, so once per observation, not once per step."""
 
     def __init__(self, widths: tuple):
         self.starts = np.cumsum((0,) + widths[:-1])
         self.row = np.repeat(np.arange(len(widths)), widths)
         self.free = np.ones(sum(widths))
         self.free[self.starts] = 0.0
-        for a in (self.starts, self.row, self.free):
-            a.flags.writeable = False
 
     def rowsum(self, x: np.ndarray) -> np.ndarray:
         """The sum of each coordinate's row."""
@@ -63,9 +59,6 @@ class _Rows:
         """Row-wise softmax of x, shifted by each row's maximum."""
         e = np.exp(x - np.maximum.reduceat(x, self.starts)[self.row])
         return e / self.rowsum(e)
-
-
-_layout = functools.lru_cache(maxsize=None)(_Rows)
 
 
 # -- beliefs ------------------------------------------------------------------
@@ -88,7 +81,7 @@ def psi_ascent(x: np.ndarray, W: np.ndarray, G, steps: int,
     differ by a constant per row, which the centring removes.
     """
     n, K = x.shape
-    rows = _layout((K,) * n)
+    rows = _Rows((K,) * n)
     H = np.zeros((n * K, n * K))
     if G is not None:
         H[:K, K:] = G
@@ -126,7 +119,7 @@ def theta_ascent(theta: np.ndarray, ubar: np.ndarray, pa, pb: np.ndarray,
     """
     K = pb.shape[0]
     M = ubar.shape[0] // K - K
-    rows = _layout((M,) * K + (K,) * K)
+    rows = _Rows((M,) * K + (K,) * K)
     eo = np.zeros(M)
     eo[o_idx] = 1.0
     pa_w = np.zeros(K * K) if pa is None else np.repeat(pa, K)

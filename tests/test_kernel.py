@@ -184,41 +184,6 @@ def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
         assert calls["build_hmm"] == (budgets[1] > 0)
 
 
-def _stream(K, M, seed):
-    truth = random_hmm(K, M, seed=seed)
-    sched = Schedule(psi_updates_per_obs=7, theta_updates_per_obs=4,
-                     psi_step=1.5, theta_step=2.0)
-    state = init_learner(ModelParams.random(StateSpace(K, M), seed=seed),
-                         truth.mu, sched)
-    return state, random_obs(M, TAU, seed=seed)
-
-
-def test_learners_of_different_shapes_share_no_layout_state():
-    # the row layouts are cached per tuple of row widths: two shapes in one
-    # process, interleaved, must each end exactly where they end alone
-    alone = []
-    for K, M in ((2, 3), (3, 2)):
-        state, obs = _stream(K, M, seed=K)
-        for o in obs:
-            ingest(state, o)
-        alone.append(state)
-    (a, obs_a), (b, obs_b) = _stream(2, 3, seed=2), _stream(3, 2, seed=3)
-    for oa, ob in zip(obs_a, obs_b):
-        ingest(a, oa)
-        ingest(b, ob)
-    for mixed, solo in zip((a, b), alone):
-        _assert_same_learner(mixed, solo)
-        assert np.array_equal(mixed.hmm.A, solo.hmm.A)
-        assert np.array_equal(mixed.hmm.B, solo.hmm.B)
-
-
-@pytest.mark.parametrize("field", ["starts", "row", "free"])
-def test_cached_layout_is_read_only(field):
-    kernel.psi_ascent(np.zeros((2, 3)), np.zeros(3), np.zeros((3, 3)), 1, 0.1)
-    with pytest.raises(ValueError):
-        getattr(kernel._layout((3, 3)), field)[0] = 1
-
-
 def _warm_state(schedule, n=5, params=None):
     truth = random_hmm(2, 2, seed=3)
     if params is None:

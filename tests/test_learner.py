@@ -110,6 +110,12 @@ def test_ascent_step_one_nonfinite_entry_stalls_the_whole_step(bad):
     y, stalled = ascent_step(x, np.array([0.5, bad, -1.0]), 0.1)
     assert stalled
     assert np.array_equal(y, x)
+    # a 2-d gradient is checked entry by entry too, not column by column
+    x2 = np.zeros((2, 3))
+    y, stalled = ascent_step(x2, np.array([[0.5, 1.0, 2.0],
+                                           [1.0, bad, -1.0]]), 0.1)
+    assert stalled
+    assert np.array_equal(y, x2)
 
 
 def test_ascent_step_leaves_its_input_alone():

@@ -3,8 +3,8 @@
 Prints one JSON object: for each (K, M) shape, the microseconds per step of
 kernel.psi_ascent (the (2, K) revision and current belief blocks) and of
 kernel.theta_ascent (the K*M + K*K parameter vector).  Each figure is the
-fastest of --repeats timed calls of one --steps-step loop, divided by the
-step count: the minimum is the timing least disturbed by other load on a
+fastest of REPEATS timed calls of one STEPS-step loop, divided by the step
+count: the minimum is the timing least disturbed by other load on a
 shared host.  The inputs are seeded and the same for every checkout, so two
 checkouts can be compared by running the script against each source tree:
 
@@ -16,7 +16,6 @@ Needs only the standard library and numpy.
 
 from __future__ import annotations
 
-import argparse
 import json
 import time
 
@@ -25,6 +24,8 @@ import numpy as np
 from vfe_stream import kernel
 
 SHAPES = [(1, 2), (2, 2), (3, 3), (4, 4), (6, 6), (8, 8), (12, 12), (4, 2)]
+STEPS = 200
+REPEATS = 15
 
 
 def _pinned(rng, *shape):
@@ -33,18 +34,18 @@ def _pinned(rng, *shape):
     return x
 
 
-def _us_per_step(run, steps: int, repeats: int) -> float:
+def _us_per_step(run) -> float:
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         _, applied, stalled = run()
         times.append(time.perf_counter() - t0)
-        if applied != steps or stalled:
+        if applied != STEPS or stalled:
             raise RuntimeError("the loop stalled; the timing would be short")
-    return 1e6 * min(times) / steps
+    return 1e6 * min(times) / STEPS
 
 
-def bench_shape(K: int, M: int, steps: int, repeats: int) -> dict:
+def bench_shape(K: int, M: int) -> dict:
     rng = np.random.default_rng(1000 * K + M)
     x = _pinned(rng, 2, K)
     W = rng.normal(size=K)
@@ -55,24 +56,16 @@ def bench_shape(K: int, M: int, steps: int, repeats: int) -> dict:
                                  _pinned(rng, K, K).ravel()])
     pa, pb = rng.dirichlet(np.ones(K)), rng.dirichlet(np.ones(K))
     o_idx = M - 1
-    psi = _us_per_step(lambda: kernel.psi_ascent(x, W, G, steps, 0.1),
-                       steps, repeats)
+    psi = _us_per_step(lambda: kernel.psi_ascent(x, W, G, STEPS, 0.1))
     theta_us = _us_per_step(
-        lambda: kernel.theta_ascent(theta, ubar, pa, pb, o_idx, steps, 1e-3),
-        steps, repeats)
+        lambda: kernel.theta_ascent(theta, ubar, pa, pb, o_idx, STEPS, 1e-3))
     return {"K": K, "M": M, "psi_us_per_step": round(psi, 2),
             "theta_us_per_step": round(theta_us, 2)}
 
 
-def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--steps", type=int, default=200)
-    ap.add_argument("--repeats", type=int, default=15)
-    args = ap.parse_args(argv)
-    if args.steps < 1 or args.repeats < 1:
-        ap.error("--steps and --repeats must be >= 1")
-    rows = [bench_shape(K, M, args.steps, args.repeats) for K, M in SHAPES]
-    print(json.dumps({"steps": args.steps, "repeats": args.repeats,
+def main() -> None:
+    rows = [bench_shape(K, M) for K, M in SHAPES]
+    print(json.dumps({"steps": STEPS, "repeats": REPEATS,
                       "numpy": np.__version__, "shapes": rows}, indent=2))
 
 
