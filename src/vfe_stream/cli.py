@@ -213,7 +213,11 @@ def read_observations(path: str, M: int) -> list:
                 raise ConfigError(f"{path}:{i}: invalid JSON ({exc})") from exc
             if not isinstance(doc, dict) or set(doc) != {"t", "o"}:
                 raise ConfigError(f"{path}:{i}: expected exactly t and o fields")
-            t, o = int(doc["t"]), int(doc["o"])
+            t, o = doc["t"], doc["o"]
+            # JSON integers only: int() would take 1.9, "2" or true
+            if (not isinstance(t, int) or isinstance(t, bool)
+                    or not isinstance(o, int) or isinstance(o, bool)):
+                raise ConfigError(f"{path}:{i}: t and o must be integers")
             if t != len(out) + 1:
                 raise ConfigError(f"{path}:{i}: t must be consecutive from 1")
             if not 1 <= o <= M:
@@ -294,6 +298,8 @@ def cmd_compare(compare_doc: dict, out_dir: str, quiet: bool,
     for i, cand in enumerate(candidates):
         _require_keys(cand, {"name", "config"}, {"name", "config"},
                       f"candidate {i}")
+        if not isinstance(cand["config"], dict):
+            raise ConfigError(f"candidate {i}: config must be an object")
         inner = dict(cand["config"])
         if "out" in inner and inner["out"]:
             raise ConfigError(f"candidate {cand['name']}: out paths belong to "

@@ -27,7 +27,9 @@ Cost per fold step is O(K^2 * dim(theta)), independent of tau, which is the
 whole point: the learner carries (V, U) across observations instead of
 recomputing the fold.  The fold step's arithmetic lives in kernel.fold_step;
 the functions here check the horizon and the observation around it, and
-recompute everything from scratch as the audit path.
+recompute everything from scratch as the audit path.  The audit objective
+needs no U, so elbo_recursive sums V's per-time terms in one vectorized
+pass; the step loop (scratch_summaries) remains for grad_theta's U rows.
 """
 
 from __future__ import annotations
@@ -172,9 +174,28 @@ def scratch_summaries(hmm: GenerativeHMM, history: MfaHistory,
 
 def elbo_recursive(hmm: GenerativeHMM, history: MfaHistory,
                    observations: Sequence[int]) -> tuple:
-    """Objective value at the current horizon, plus the final summaries."""
-    s = scratch_summaries(hmm, history, observations)
-    return finish(s, history), s
+    """(objective at the current horizon, V_tau) in one vectorized pass.
+
+    V_t = b_t + f_t with f_1 = ln mu + ln A[:, o_1] - ln pi_1 and
+    f_t = w_t @ ln B + ln A[:, o_t] - ln curr_t; as w_t sums to one, the
+    scalar b_tau = sum_{t>=2} w_t . (f_{t-1} + ln sup_t - ln w_t), and
+    L = b_tau + pi_tau . f_tau.
+    """
+    o = _check_values(observations, hmm.M, "observation")
+    if o.shape[0] != history.horizon:
+        raise ConstraintError("need exactly one observation per time step")
+    snapshots = history._snapshots
+    # row t - 1 is ln curr_t, and ln sup_{t+1} too
+    log_curr = log_softmax(np.array([curr for _, curr in snapshots]))
+    f = hmm.log_A[:, o].T - log_curr
+    f[0] += hmm.log_mu()
+    b = 0.0
+    if len(snapshots) > 1:
+        log_w = log_softmax(np.array([rev for rev, _ in snapshots[1:]]))
+        w = np.exp(log_w)
+        f[1:] += w @ hmm.log_B
+        b = float(np.sum(w * (f[:-1] + log_curr[:-1] - log_w)))
+    return b + float(history.belief(history.horizon) @ f[-1]), b + f[-1]
 
 
 def grad_theta(hmm: GenerativeHMM, history: MfaHistory,
@@ -261,8 +282,8 @@ def grad_psi(hmm: GenerativeHMM, history: MfaHistory,
         base = hmm.log_mu() + hmm.log_A[:, o[0]]
         return local_psi_gradient_first(base, history.superseded_logits(1))[1:]
     prefix = history_prefix(history)
-    s = scratch_summaries(hmm, prefix, [int(x) + 1 for x in o[:-1]])
-    W, G = step_inputs(hmm, s.v, history, int(o[-1]) + 1)
+    _, v = elbo_recursive(hmm, prefix, o[:-1] + 1)
+    W, G = step_inputs(hmm, v, history, int(o[-1]) + 1)
     rho_prev, rho_curr = history.updatable_logits()
     ga, gb = local_psi_gradient(W, G, rho_prev, rho_curr)
     return np.concatenate([ga[1:], gb[1:]])

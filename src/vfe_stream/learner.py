@@ -21,7 +21,7 @@ in effect when the step was folded in.  That staleness is the price of the
 constant-cost contract; with parameter updates disabled the carried values
 are bit-identical to recomputing the fold from scratch.  The pure functions
 in elbo/oracle recompute everything at the current parameters and are the
-audit path.
+audit path; its exact objective is one vectorized pass, not a refold.
 """
 
 from __future__ import annotations

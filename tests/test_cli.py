@@ -233,6 +233,26 @@ def test_bad_data_file_exits_2(tmp_path, lines):
                 "--out", str(tmp_path), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("line", [
+    '{"t": 1, "o": 1.9}',
+    '{"t": 1.0, "o": 1}',
+    '{"t": 1, "o": true}',
+    '{"t": true, "o": 1}',
+    '{"t": 1, "o": "2"}',
+    '{"t": "1", "o": 1}',
+    '{"t": 1, "o": null}',
+])
+def test_non_integer_data_value_exits_2(tmp_path, capsys, line):
+    cfgp = write_json(tmp_path / "c.json", base_config(length=5))
+    data = tmp_path / "data.jsonl"
+    data.write_text(line + '\n{"t": 2, "o": 2}\n')
+    assert run(["fit", "--config", cfgp, "--data", str(data),
+                "--out", str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data}:1: t and o must be integers\n")
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_quiet_flag_silences_stdout(tmp_path, capsys):
     cfgp = write_json(tmp_path / "c.json", base_config(length=5))
     run(["generate", "--config", cfgp, "--out", str(tmp_path), "--quiet"])
@@ -360,6 +380,19 @@ def test_compare_rejects_symbols_beyond_candidate_range(tmp_path):
     cmpp = write_json(tmp_path / "cmp.json", doc)
     assert run(["compare", "--config", cmpp, "--out", str(tmp_path),
                 "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("config", [5, None, [1, 2]])
+def test_compare_rejects_a_non_object_candidate_config(tmp_path, capsys,
+                                                       config):
+    doc = {"data": str(tmp_path / "data.jsonl"),
+           "candidates": [{"name": "a", "config": config}]}
+    cmpp = write_json(tmp_path / "cmp.json", doc)
+    assert run(["compare", "--config", cmpp, "--out", str(tmp_path),
+                "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: candidate 0: config must be an object\n")
+    assert not (tmp_path / "compare.json").exists()
 
 
 def test_compare_rejects_empty_data(tmp_path):

@@ -62,10 +62,32 @@ def test_elbo_tau1_jensen_equality():
     o1 = 2
     base = hmm.log_mu() + hmm.log_A[:, o1 - 1]
     h = MfaHistory(pin(base - base[0]))  # the exact posterior as pinned logits
-    val, summary = elbo_recursive(hmm, h, [o1])
+    val, v = elbo_recursive(hmm, h, [o1])
     m = base.max()
     assert abs(val - (m + np.log(np.exp(base - m).sum()))) < 1e-12
-    assert summary.t == 1
+    # at the exact posterior every entry of V_1 is the log evidence
+    assert np.allclose(v, val, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("revised", [False, True])
+@pytest.mark.parametrize("tau", [1, 2, 3, 40, 400])
+@pytest.mark.parametrize("K", [1, 2, 3, 5])
+def test_elbo_recursive_matches_the_step_loop(K, tau, revised):
+    # the one-pass objective against the (V, U) fold, step by step
+    rng = np.random.default_rng(1000 * K + tau)
+    hmm = random_hmm(K, 3, seed=K + tau)
+    obs = random_obs(3, tau, seed=tau)
+    h = MfaHistory(pin(rng.normal(size=K)))
+    for _ in range(2, tau + 1):
+        augment(h, "uniform")
+        rev = pin(0.7 * rng.normal(size=K)) if revised else None
+        h.set_updatable(rev, pin(rng.normal(size=K)))
+    val, v = elbo_recursive(hmm, h, obs)
+    loop = scratch_summaries(hmm, h, obs)
+    ref = finish(loop, h)
+    assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+    assert v.shape == (K,)
+    assert np.max(np.abs(v - loop.v)) <= 1e-12 * max(1.0, np.max(np.abs(loop.v)))
 
 
 def test_elbo_uniform_symmetry():

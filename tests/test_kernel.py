@@ -184,6 +184,40 @@ def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
         assert calls["build_hmm"] == (budgets[1] > 0)
 
 
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_audit_does_not_refold_the_stream(monkeypatch, K):
+    # with the self oracle on, the only fold step per observation is the
+    # streaming update; the exact objective is one pass with no fold steps
+    M = 3
+    truth = random_hmm(K, M, seed=K)
+    state = init_learner(ModelParams.random(StateSpace(K, M), seed=20 + K),
+                         truth.mu, Schedule(psi_updates_per_obs=2,
+                                            theta_updates_per_obs=1),
+                         oracle_mode="self")
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(elbo_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(elbo_mod, name, wrapper)
+
+    for name in ("step_summaries", "fold_step", "elbo_recursive"):
+        counted(name)
+    for o in random_obs(M, TAU, seed=K):
+        calls.clear()
+        rec = ingest(state, o)
+        assert rec.gap is not None
+        assert calls["elbo_recursive"] == 1
+        assert calls["step_summaries"] == (rec.tau > 1)
+        assert calls["fold_step"] == (rec.tau > 1)
+    calls.clear()
+    elbo_mod.elbo_recursive(state.hmm, state.history, state.observations)
+    assert calls["fold_step"] == 0 and calls["step_summaries"] == 0
+
+
 def _warm_state(schedule, n=5, params=None):
     truth = random_hmm(2, 2, seed=3)
     if params is None:

@@ -1,11 +1,13 @@
-"""Microbenchmark of the kernel's two ascent loops.
+"""Microbenchmark of the kernel's two ascent loops and the audit objective.
 
 Prints one JSON object: for each (K, M) shape, the microseconds per step of
 kernel.psi_ascent (the (2, K) revision and current belief blocks) and of
-kernel.theta_ascent (the K*M + K*K parameter vector).  Each figure is the
-fastest of REPEATS timed calls of one STEPS-step loop, divided by the step
-count: the minimum is the timing least disturbed by other load on a
-shared host.  The inputs are seeded and the same for every checkout, so two
+kernel.theta_ascent (the K*M + K*K parameter vector); and for each (K, tau)
+in AUDIT_SHAPES, the milliseconds per elbo.elbo_recursive call on a seeded
+history with revisions.  Each figure is the fastest of REPEATS timed runs
+(a STEPS-step loop, or AUDIT_CALLS calls), divided by the step or call
+count: the minimum is the timing least disturbed by other load on a shared
+host.  The inputs are seeded and the same for every checkout, so two
 checkouts can be compared by running the script against each source tree:
 
     PYTHONPATH=src python tools/bench_kernel.py
@@ -21,11 +23,15 @@ import time
 
 import numpy as np
 
-from vfe_stream import kernel
+from vfe_stream import elbo, kernel
+from vfe_stream.mfa import MfaHistory, augment
+from vfe_stream.model import ModelParams, StateSpace, build_hmm
 
 SHAPES = [(1, 2), (2, 2), (3, 3), (4, 4), (6, 6), (8, 8), (12, 12), (4, 2)]
 STEPS = 200
 REPEATS = 15
+AUDIT_SHAPES = [(K, tau) for K in (2, 3) for tau in (50, 250, 1000)]
+AUDIT_CALLS = 10
 
 
 def _pinned(rng, *shape):
@@ -63,10 +69,32 @@ def bench_shape(K: int, M: int) -> dict:
             "theta_us_per_step": round(theta_us, 2)}
 
 
+def bench_audit(K: int, tau: int) -> dict:
+    M = K
+    rng = np.random.default_rng(1000 * K + tau)
+    hmm = build_hmm(rng.dirichlet(np.ones(K)),
+                    ModelParams.random(StateSpace(K, M), seed=K))
+    obs = [int(o) for o in rng.integers(1, M + 1, size=tau)]
+    history = MfaHistory(_pinned(rng, K))
+    for _ in range(2, tau + 1):
+        augment(history, "uniform")
+        history.set_updatable(_pinned(rng, K), _pinned(rng, K))
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(AUDIT_CALLS):
+            elbo.elbo_recursive(hmm, history, obs)
+        times.append(time.perf_counter() - t0)
+    return {"K": K, "tau": tau,
+            "ms_per_call": round(1e3 * min(times) / AUDIT_CALLS, 4)}
+
+
 def main() -> None:
     rows = [bench_shape(K, M) for K, M in SHAPES]
+    audit = [bench_audit(K, tau) for K, tau in AUDIT_SHAPES]
     print(json.dumps({"steps": STEPS, "repeats": REPEATS,
-                      "numpy": np.__version__, "shapes": rows}, indent=2))
+                      "audit_calls": AUDIT_CALLS, "numpy": np.__version__,
+                      "shapes": rows, "audit_objective": audit}, indent=2))
 
 
 if __name__ == "__main__":
