@@ -5,7 +5,8 @@ The package is organized as:
 - model: generative model, pinned softmax parametrization, sampling
 - oracle: exact filtering/smoothing/enumeration and finite differences
 - mfa: mean-field approximation state, augmentation and serialization
-- elbo: recursive objective, gradients and carried summaries
+- kernel: raw-array ascent loops, their psi and theta gradients, the fold
+- elbo: recursive objective, carried summaries and the exact gradient audit
 - learner: streaming ascent schedule and trace recording
 - cli: generate / fit / compare / gradcheck commands
 """
@@ -47,7 +48,6 @@ from .mfa import (
 from .elbo import (
     ElboSummaries,
     ThetaGrad,
-    apply_theta_step,
     elbo_recursive,
     finish,
     grad_psi,
@@ -96,7 +96,6 @@ __all__ = [
     "pairwise_tables_from_history",
     "ElboSummaries",
     "ThetaGrad",
-    "apply_theta_step",
     "elbo_recursive",
     "finish",
     "grad_psi",

@@ -93,6 +93,13 @@ def _json_field(doc: dict, key: str, default, kind: type):
     return value
 
 
+def _check_seed(seed: int, name: str) -> int:
+    """seed, if it is a valid Philox key: an integer in [0, 2**128)."""
+    if not 0 <= seed < 2 ** 128:
+        raise ConfigError(f"{name} must lie in 0..2**128 - 1")
+    return seed
+
+
 _FAMILIES = {f.value: f for f in MfaFamily}
 
 
@@ -119,8 +126,9 @@ class ExperimentConfig:
             hmm = hmm_from_config(doc["model"])
         except ConstraintError as exc:
             raise ConfigError(f"model: {exc}") from exc
-        seed = _json_field(doc, "seed", None, int)
-        init_seed = _json_field(doc, "init_seed", seed, int)
+        seed = _check_seed(_json_field(doc, "seed", None, int), "seed")
+        init_seed = _check_seed(_json_field(doc, "init_seed", seed, int),
+                                "init_seed")
         length = _json_field(doc, "length", None, int)
         if length < 0:
             raise ConfigError("length must be >= 0")
@@ -231,7 +239,7 @@ def _run_config(cfg: ExperimentConfig, observations: list):
     params0 = ModelParams.random(space, seed=cfg.init_seed)
     reference = cfg.hmm if cfg.oracle == "reference" else None
     return run_stream(params0, cfg.hmm.mu, observations, cfg.schedule,
-                      oracle_enabled=cfg.oracle, family=cfg.family,
+                      oracle_mode=cfg.oracle, family=cfg.family,
                       init_rule=cfg.init_rule, reference=reference)
 
 
@@ -258,18 +266,17 @@ def _evaluate_candidate(cfg: ExperimentConfig, observations: list) -> dict:
     result = _run_config(cfg, observations)
     state = result.state
     tau = state.tau
+    exact_elbo, _ = elbo_mod.elbo_recursive(state.hmm, state.history,
+                                            observations)
     if state.hmm.K == 1:
         # one state: beliefs are trivial, so the objective at the final
         # parameters is the iid log-likelihood in closed form
-        objective, _ = elbo_mod.elbo_recursive(state.hmm, state.history,
-                                               observations)
+        objective = exact_elbo
     else:
         # the streaming value the run actually attained; re-scoring frozen
         # early beliefs at the final parameters would charge them for
         # parameter movement they could not have seen
         objective = elbo_mod.finish(state.summaries, state.history)
-    exact_elbo, _ = elbo_mod.elbo_recursive(state.hmm, state.history,
-                                            observations)
     log_evidence = forward_filter(state.hmm, observations).log_evidence
     return {
         "objective": objective,
@@ -375,38 +382,25 @@ def _gradcheck_instance(K: int, M: int, tau: int, seed: int,
     bf = brute_force_elbo(hmm, q.table, obs)
     recursion_err = abs(rec - bf)
 
-    free0 = elbo_mod.params_free_vector(params)
-
     def f_theta(v):
         p2 = elbo_mod.params_from_free(space, v)
         return elbo_mod.elbo_recursive(build_hmm(mu, p2), hist, obs)[0]
 
-    g_theta = elbo_mod.grad_theta(hmm, hist, obs).free_vector()
-    theta_err = max_grad_error(g_theta, finite_diff_grad(f_theta, free0)) \
-        if free0.size else 0.0
+    theta_err = max_grad_error(
+        elbo_mod.grad_theta(hmm, hist, obs).free_vector(),
+        finite_diff_grad(f_theta, elbo_mod.params_free_vector(params)))
 
-    gp = elbo_mod.grad_psi(hmm, hist, obs)
-    if tau >= 2 and K > 1:
-        a0, b0 = hist.updatable_logits()
-        x0 = np.concatenate([a0[1:], b0[1:]])
+    # the free coordinates of the updatable blocks, one row per block
+    blocks = np.array([b for b in hist.updatable_logits() if b is not None])
 
-        def f_psi(v):
-            h2 = MfaHistory.from_dict(hist.to_dict())
-            h2.set_updatable(np.concatenate([[0.0], v[: K - 1]]),
-                             np.concatenate([[0.0], v[K - 1:]]))
-            return elbo_mod.elbo_recursive(hmm, h2, obs)[0]
+    def f_psi(v):
+        h2 = MfaHistory.from_dict(hist.to_dict())
+        rows = np.insert(v.reshape(len(blocks), K - 1), 0, 0.0, axis=1)
+        h2.set_updatable(*rows[:-1], rho_curr=rows[-1])
+        return elbo_mod.elbo_recursive(hmm, h2, obs)[0]
 
-        psi_err = max_grad_error(gp, finite_diff_grad(f_psi, x0))
-    elif K > 1:
-        b0 = hist.updatable_logits()[1]
-
-        def f_psi1(v):
-            h2 = MfaHistory(np.concatenate([[0.0], v]))
-            return elbo_mod.elbo_recursive(hmm, h2, obs)[0]
-
-        psi_err = max_grad_error(gp, finite_diff_grad(f_psi1, b0[1:].copy()))
-    else:
-        psi_err = 0.0
+    psi_err = max_grad_error(elbo_mod.grad_psi(hmm, hist, obs),
+                             finite_diff_grad(f_psi, blocks[:, 1:].ravel()))
 
     log_z = forward_filter(hmm, obs).log_evidence
     gap = log_z - rec
@@ -435,6 +429,8 @@ def cmd_gradcheck(doc: dict, out_dir: str, quiet: bool) -> int:
     corrupt = _json_field(doc, "negative_control", False, bool)
     if K < 1 or M < 1 or tau < 1 or instances < 1:
         raise ConfigError("K, M, tau, instances must be >= 1")
+    _check_seed(seed0, "seed")
+    _check_seed(seed0 + instances - 1, "seed + instances - 1")
     if K ** tau > ENUMERATION_GUARD:
         raise ConfigError(f"K^tau = {K ** tau} exceeds the enumeration guard "
                           f"{ENUMERATION_GUARD}")
@@ -500,7 +496,8 @@ def main(argv=None) -> int:
         if args.command in ("generate", "fit"):
             cfg = load_config(args.config)
             if args.seed is not None:
-                cfg = replace(cfg, seed=args.seed, init_seed=args.seed)
+                cfg = replace(cfg, seed=_check_seed(args.seed, "--seed"),
+                              init_seed=args.seed)
             if args.oracle and cfg.oracle == "off":
                 cfg.oracle = "self"
             if args.command == "generate":

@@ -29,13 +29,14 @@ recomputing the fold.  The fold step's arithmetic lives in kernel.fold_step;
 the functions here check the horizon and the observation around it, and
 recompute everything from scratch as the audit path.  The audit objective
 needs no U, so elbo_recursive sums V's per-time terms in one vectorized
-pass; the step loop (scratch_summaries) remains for grad_theta's U rows.
+pass.  grad_psi and grad_theta evaluate the kernel's gradients, the ones
+the learner ascends, at inputs refolded exactly from the history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .model import (
     log_softmax,
     log_softmax_row,
 )
+from . import kernel
 from .kernel import fold_step, u_fresh
 from .mfa import MfaHistory
 
@@ -84,12 +86,6 @@ def params_from_free(space: StateSpace, vec: np.ndarray) -> ModelParams:
     if K > 1:
         bt[:, 1:] = vec[na:].reshape(K, K - 1)
     return ModelParams(alpha_tilde=at, beta_tilde=bt)
-
-
-def apply_theta_step(params: ModelParams, grad: ThetaGrad, step: float) -> ModelParams:
-    # pinned columns are zero in the gradient, so pinning is preserved exactly
-    return ModelParams(alpha_tilde=params.alpha_tilde + step * grad.dalpha,
-                       beta_tilde=params.beta_tilde + step * grad.dbeta)
 
 
 # -- carried summaries --------------------------------------------------------
@@ -158,12 +154,19 @@ def finish(summaries: ElboSummaries, history: MfaHistory) -> float:
     return float(history.belief(history.horizon) @ summaries.v)
 
 
-def scratch_summaries(hmm: GenerativeHMM, history: MfaHistory,
-                      observations: Sequence[int]) -> ElboSummaries:
-    """Recompute the whole fold from t = 1 at the current parameters."""
+def _checked_observations(hmm: GenerativeHMM, history: MfaHistory,
+                           observations: Sequence[int]) -> np.ndarray:
+    """0-based observations, one per time step of the history."""
     o = _check_values(observations, hmm.M, "observation")
     if o.shape[0] != history.horizon:
         raise ConstraintError("need exactly one observation per time step")
+    return o
+
+
+def scratch_summaries(hmm: GenerativeHMM, history: MfaHistory,
+                      observations: Sequence[int]) -> ElboSummaries:
+    """Recompute the whole fold from t = 1 at the current parameters."""
+    o = _checked_observations(hmm, history, observations)
     s = base_summaries(hmm, history, int(o[0]) + 1)
     for t in range(2, history.horizon + 1):
         s = step_summaries(s, hmm, history, t, int(o[t - 1]) + 1)
@@ -181,9 +184,7 @@ def elbo_recursive(hmm: GenerativeHMM, history: MfaHistory,
     scalar b_tau = sum_{t>=2} w_t . (f_{t-1} + ln sup_t - ln w_t), and
     L = b_tau + pi_tau . f_tau.
     """
-    o = _check_values(observations, hmm.M, "observation")
-    if o.shape[0] != history.horizon:
-        raise ConstraintError("need exactly one observation per time step")
+    o = _checked_observations(hmm, history, observations)
     snapshots = history._snapshots
     # row t - 1 is ln curr_t, and ln sup_{t+1} too
     log_curr = log_softmax(np.array([curr for _, curr in snapshots]))
@@ -198,71 +199,55 @@ def elbo_recursive(hmm: GenerativeHMM, history: MfaHistory,
     return b + float(history.belief(history.horizon) @ f[-1]), b + f[-1]
 
 
-def grad_theta(hmm: GenerativeHMM, history: MfaHistory,
-               observations: Sequence[int]) -> ThetaGrad:
-    """Exact parameter gradient of elbo_recursive at the current theta."""
-    s = scratch_summaries(hmm, history, observations)
-    dense = history.belief(history.horizon) @ s.u
-    K, M = hmm.K, hmm.M
-    return ThetaGrad(dalpha=dense[: K * M].reshape(K, M),
-                     dbeta=dense[K * M:].reshape(K, K))
-
-
-def local_psi_gradient(W: np.ndarray, G: np.ndarray, rho_prev: np.ndarray,
-                       rho_curr: np.ndarray) -> tuple:
-    """Gradient of pi_a . (W - ln pi_a) + pi_a G pi_b + H[pi_b] over the two
-    pinned logit blocks, with everything older held fixed."""
-    log_pa = log_softmax_row(rho_prev)
-    log_pb = log_softmax_row(rho_curr)
-    pa, pb = np.exp(log_pa), np.exp(log_pb)
-    ca = W + G @ pb - log_pa
-    ga = pa * (ca - float(pa @ ca))
-    cb = G.T @ pa - log_pb
-    gb = pb * (cb - float(pb @ cb))
-    ga[0] = 0.0
-    gb[0] = 0.0
-    return ga, gb
-
-
-def local_psi_gradient_first(base_log: np.ndarray, rho1: np.ndarray) -> np.ndarray:
-    """Horizon-1 case: gradient of pi . (base_log - ln pi) over the single
-    block."""
-    log_p = log_softmax_row(rho1)
-    p = np.exp(log_p)
-    c = base_log - log_p
-    g = p * (c - float(p @ c))
-    g[0] = 0.0
-    return g
-
-
-def local_elbo(W: np.ndarray, G: np.ndarray, rho_prev: np.ndarray,
-               rho_curr: np.ndarray) -> float:
-    """The objective the local gradients ascend."""
-    log_pa = log_softmax_row(rho_prev)
-    log_pb = log_softmax_row(rho_curr)
-    pa, pb = np.exp(log_pa), np.exp(log_pb)
-    return float(pa @ (W - log_pa) + pa @ G @ pb - pb @ log_pb)
-
-
-def local_elbo_first(base_log: np.ndarray, rho1: np.ndarray) -> float:
-    """Horizon-1 counterpart of local_elbo: pi . (base_log - ln pi)."""
-    log_p = log_softmax_row(rho1)
-    p = np.exp(log_p)
-    return float(p @ (base_log - log_p))
-
-
-def step_inputs(hmm: GenerativeHMM, v_prev: np.ndarray, history: MfaHistory,
-                o_t: int) -> tuple:
-    """(W, G) for the final fold step at the current horizon.
-
-    W folds the carried V with the superseded log marginal it is always
-    paired with; G is the fresh transition-plus-emission table.
-    """
+def step_inputs(hmm: GenerativeHMM, prev: Optional[ElboSummaries],
+                history: MfaHistory, o_t: int) -> tuple:
+    """(W, G) for kernel.psi_gradient at the current horizon: W folds the V
+    of prev, the summaries at tau - 1, with the superseded log marginal; G
+    is the fresh transition-plus-emission table.  At horizon 1 (prev None)
+    W is ln mu + ln A[:, o] and G is None."""
     o_idx = int(o_t) - 1
+    if history.horizon == 1:
+        return hmm.log_mu() + hmm.log_A[:, o_idx], None
     log_sup = log_softmax_row(history.superseded_logits(history.horizon - 1))
-    W = v_prev + log_sup
+    W = prev.v + log_sup
     G = hmm.log_B + hmm.log_A[:, o_idx][None, :]
     return W, G
+
+
+def theta_inputs(history: MfaHistory, prev: Optional[ElboSummaries], K: int,
+                 M: int) -> tuple:
+    """(ubar, pa, pb) for kernel.theta_gradient at the current horizon: the
+    U rows of prev, the summaries at tau - 1, contracted against the
+    revision marginal pa; pb is the newest marginal.  At horizon 1 (prev
+    None) ubar is zero and pa is None."""
+    pb = history.belief(history.horizon)
+    if history.horizon == 1:
+        return np.zeros(K * M + K * K), None, pb
+    pa = history.belief(history.horizon - 1)
+    return pa @ prev.u, pa, pb
+
+
+def _audit_inputs(hmm: GenerativeHMM, history: MfaHistory,
+                  observations: Sequence[int]) -> tuple:
+    """(0-based observations, the exact summaries at tau - 1 or None at
+    horizon 1)."""
+    o = _checked_observations(hmm, history, observations)
+    if history.horizon == 1:
+        return o, None
+    return o, scratch_summaries(hmm, history_prefix(history), o[:-1] + 1)
+
+
+def grad_theta(hmm: GenerativeHMM, history: MfaHistory,
+               observations: Sequence[int]) -> ThetaGrad:
+    """Exact parameter gradient of elbo_recursive at the current theta:
+    kernel.theta_gradient at inputs recomputed from scratch."""
+    o, prev = _audit_inputs(hmm, history, observations)
+    K, M = hmm.K, hmm.M
+    gradient = kernel.theta_gradient(*theta_inputs(history, prev, K, M),
+                                     int(o[-1]))
+    dense = gradient(np.concatenate([hmm.params.alpha_tilde.ravel(),
+                                     hmm.params.beta_tilde.ravel()]))
+    return ThetaGrad(*kernel.theta_rows(dense, K, M))
 
 
 def grad_psi(hmm: GenerativeHMM, history: MfaHistory,
@@ -272,21 +257,15 @@ def grad_psi(hmm: GenerativeHMM, history: MfaHistory,
     first entry (2K - 2 of them, K - 1 at horizon 1).
 
     The carried V through time tau - 1 does not depend on those blocks, so
-    only the final fold step differentiates; frozen-block coordinates are
-    not emitted at all.
+    only the final fold step differentiates, through kernel.psi_gradient;
+    frozen-block coordinates are not emitted at all.
     """
-    o = _check_values(observations, hmm.M, "observation")
-    if o.shape[0] != history.horizon:
-        raise ConstraintError("need exactly one observation per time step")
-    if history.horizon == 1:
-        base = hmm.log_mu() + hmm.log_A[:, o[0]]
-        return local_psi_gradient_first(base, history.superseded_logits(1))[1:]
-    prefix = history_prefix(history)
-    _, v = elbo_recursive(hmm, prefix, o[:-1] + 1)
-    W, G = step_inputs(hmm, v, history, int(o[-1]) + 1)
-    rho_prev, rho_curr = history.updatable_logits()
-    ga, gb = local_psi_gradient(W, G, rho_prev, rho_curr)
-    return np.concatenate([ga[1:], gb[1:]])
+    o, prev = _audit_inputs(hmm, history, observations)
+    x = np.array([b for b in history.updatable_logits() if b is not None])
+    n, K = x.shape
+    W, G = step_inputs(hmm, prev, history, int(o[-1]) + 1)
+    g = kernel.psi_gradient(W, G, n, K)(x.ravel())
+    return g.reshape(n, K)[:, 1:].ravel()
 
 
 def history_prefix(history: MfaHistory) -> MfaHistory:

@@ -4,7 +4,9 @@ The belief (psi) ascent and the parameter (theta) ascent are one operation:
 gradient steps on a flat vector of pinned softmax rows (each row's first
 logit stays 0), with all rows' softmax taken in one segmented pass.  psi
 stacks the updatable belief blocks; theta is laid out like the rows of U,
-[alpha_tilde.ravel(), beta_tilde.ravel()].  The (V, U) fold step is here too.
+[alpha_tilde.ravel(), beta_tilde.ravel()].  The loops step along
+psi_gradient and theta_gradient, which elbo's gradient audit evaluates
+too.  The (V, U) fold step is here as well.
 
 Nothing in this module validates.  Callers take the inputs from values that
 are already validated (the learner state, the belief history, the model)
@@ -42,8 +44,8 @@ def _ascend(x: np.ndarray, gradient, steps: int, step: float) -> tuple:
 class _Rows:
     """Layout of consecutive rows of the given widths in one flat vector:
     the start of each row, the row index of each coordinate and a 0/1 mask
-    that is 0 at each row's pinned first coordinate.  Built once per call
-    of an ascent loop, so once per observation, not once per step."""
+    that is 0 at each row's pinned first coordinate.  Built once per
+    gradient function, so once per observation, not once per step."""
 
     def __init__(self, widths: tuple):
         self.starts = np.cumsum((0,) + widths[:-1])
@@ -63,24 +65,21 @@ class _Rows:
 
 # -- beliefs ------------------------------------------------------------------
 
-def psi_ascent(x: np.ndarray, W: np.ndarray, G, steps: int,
-               step: float) -> tuple:
-    """Ascent on the updatable belief logits, returning (x, applied,
-    stalled).
+def psi_gradient(W: np.ndarray, G, n: int, K: int):
+    """The gradient, over n flat (K,) belief logit blocks, of the final
+    fold step of the streaming objective with everything older held fixed
+    (elbo.step_inputs gives W and G).
 
-    At horizon 1, x is the (1, K) starting block and the objective is
-    pi . (W - ln pi); G is None.  Otherwise x stacks the (revision,
-    current) blocks as (2, K) and the objective is
+    At horizon 1, n = 1, G is None and the objective is pi . (W - ln pi).
+    Otherwise the blocks are (revision, current) and the objective is
 
-        pi_a . (W - ln pi_a) + pi_a G pi_b - pi_b . ln pi_b,
+        pi_a . (W - ln pi_a) + pi_a G pi_b - pi_b . ln pi_b.
 
-    the final fold step of the streaming objective with everything older
-    held fixed (elbo.step_inputs gives W and G).  On p = [pi_a, pi_b] the
-    gradient is free * p * (c - rowsum(p * c)) with c = W' - ln p + H p,
-    H = [[0, G], [G^T, 0]] and W' = [W, 0].  c takes -x for -ln p: they
-    differ by a constant per row, which the centring removes.
+    On p = [pi_a, pi_b] the gradient is free * p * (c - rowsum(p * c))
+    with c = W' - ln p + H p, H = [[0, G], [G^T, 0]] and W' = [W, 0].  c
+    takes -x for -ln p: they differ by a constant per row, which the
+    centring removes.
     """
-    n, K = x.shape
     rows = _Rows((K,) * n)
     H = np.zeros((n * K, n * K))
     if G is not None:
@@ -94,7 +93,16 @@ def psi_ascent(x: np.ndarray, W: np.ndarray, G, steps: int,
         c = w - x + H @ p
         return rows.free * p * (c - rows.rowsum(p * c))
 
-    x, applied, stalled = _ascend(x.ravel(), gradient, steps, step)
+    return gradient
+
+
+def psi_ascent(x: np.ndarray, W: np.ndarray, G, steps: int,
+               step: float) -> tuple:
+    """Ascent along psi_gradient on the (n, K) updatable belief logits,
+    returning (x, applied, stalled)."""
+    n, K = x.shape
+    x, applied, stalled = _ascend(x.ravel(), psi_gradient(W, G, n, K),
+                                  steps, step)
     return x.reshape(n, K), applied, stalled
 
 
@@ -105,13 +113,12 @@ def theta_rows(theta: np.ndarray, K: int, M: int) -> tuple:
     return theta[: K * M].reshape(K, M), theta[K * M:].reshape(K, K)
 
 
-def theta_ascent(theta: np.ndarray, ubar: np.ndarray, pa, pb: np.ndarray,
-                 o_idx: int, steps: int, step: float) -> tuple:
-    """Ascent on the flat parameter vector, returning (theta, applied,
-    stalled).
+def theta_gradient(ubar: np.ndarray, pa, pb: np.ndarray, o_idx: int):
+    """The gradient of the streaming objective over the flat parameter
+    vector.
 
-    The gradient is the carried part ubar (the U rows contracted against
-    the revision marginal pa, fixed within one observation) plus the fresh
+    It is the carried part ubar (the U rows contracted against the
+    revision marginal pa, fixed within one observation) plus the fresh
     final-step part, which tracks the moving parameters: pb (onehot(o) - A)
     per emission row and pa (pb - B) per transition row.  pa is None at
     horizon 1, where no transition has been observed yet.  The fresh part
@@ -129,7 +136,13 @@ def theta_ascent(theta: np.ndarray, ubar: np.ndarray, pa, pb: np.ndarray,
     def gradient(theta):
         return ubar + w * (t - rows.softmax(theta))
 
-    return _ascend(theta, gradient, steps, step)
+    return gradient
+
+
+def theta_ascent(theta: np.ndarray, ubar: np.ndarray, pa, pb: np.ndarray,
+                 o_idx: int, steps: int, step: float) -> tuple:
+    """Ascent along theta_gradient, returning (theta, applied, stalled)."""
+    return _ascend(theta, theta_gradient(ubar, pa, pb, o_idx), steps, step)
 
 
 # -- the (V, U) fold ----------------------------------------------------------

@@ -157,6 +157,9 @@ def init_learner(params: ModelParams, mu, schedule: Schedule,
     if init_rule not in ("uniform", "zeros", "prediction"):
         raise ConstraintError(f"unknown init_rule {init_rule!r}")
     hmm = build_hmm(mu, params)
+    if not np.all(hmm.mu > 0.0):
+        # beliefs put mass on every state: the objective would be -inf
+        raise ConstraintError("the learner needs every mu entry > 0")
     state = LearnerState(mu=hmm.mu, params=params, hmm=hmm, schedule=schedule,
                          family=family, init_rule=init_rule,
                          oracle_mode=oracle_mode, reference=reference)
@@ -166,7 +169,7 @@ def init_learner(params: ModelParams, mu, schedule: Schedule,
 
 
 def _first_block(state: LearnerState) -> np.ndarray:
-    if state.init_rule == "prediction" and np.all(state.mu > 0.0):
+    if state.init_rule == "prediction":
         logits = np.log(state.mu)
         return logits - logits[0]
     return np.zeros(state.hmm.K)
@@ -176,19 +179,12 @@ def _psi_phase(state: LearnerState, o: int) -> int:
     """Ascent on the updatable blocks; returns applied update count."""
     sched = state.schedule
     hist = state.history
-    hmm = state.hmm
-    if state.tau == 1:
-        W, G = hmm.log_mu() + hmm.log_A[:, o - 1], None
-    else:
-        W, G = elbo_mod.step_inputs(hmm, state.summaries.v, hist, o)
+    W, G = elbo_mod.step_inputs(state.hmm, state.summaries, hist, o)
     x = np.array([b for b in hist.updatable_logits() if b is not None])
     x, applied, stalled = kernel.psi_ascent(
         x, W, G, sched.psi_updates_per_obs, sched.psi_step)
     state.stalls_total += stalled
-    if state.tau == 1:
-        hist.set_updatable(rho_curr=x[0])
-    else:
-        hist.set_updatable(rho_prev=x[0], rho_curr=x[1])
+    hist.set_updatable(*x[:-1], rho_curr=x[-1])
     return applied
 
 
@@ -200,16 +196,8 @@ def _theta_phase(state: LearnerState, o: int) -> int:
     sched = state.schedule
     if sched.theta_updates_per_obs == 0:
         return 0
-    hist = state.history
     K, M = state.hmm.K, state.hmm.M
-    pb = hist.belief(state.tau)
-    if state.tau == 1:
-        pa = None
-        ubar = np.zeros(K * M + K * K)
-    else:
-        pa = hist.belief(state.tau - 1)
-        ubar = pa @ state.summaries.u
-
+    ubar, pa, pb = elbo_mod.theta_inputs(state.history, state.summaries, K, M)
     theta = np.concatenate([state.params.alpha_tilde.ravel(),
                             state.params.beta_tilde.ravel()])
     theta, applied, stalled = kernel.theta_ascent(
@@ -307,20 +295,15 @@ class RunResult:
 
 
 def run_stream(initial_params: ModelParams, mu, source: Iterable[int],
-               schedule: Schedule, oracle_enabled=False,
+               schedule: Schedule, oracle_mode: str = "off",
                family: MfaFamily = MfaFamily.REVERSED,
                init_rule: str = "prediction",
                reference: Optional[GenerativeHMM] = None) -> RunResult:
     """Fold a whole observation source; deterministic given the source and
-    schedule.  An empty source yields an empty trace."""
-    if oracle_enabled is True:
-        mode = "self"
-    elif oracle_enabled in (False, None):
-        mode = "off"
-    else:
-        mode = str(oracle_enabled)
+    schedule.  oracle_mode takes init_learner's values.  An empty source
+    yields an empty trace."""
     state = init_learner(initial_params, mu, schedule, family=family,
-                         init_rule=init_rule, oracle_mode=mode,
+                         init_rule=init_rule, oracle_mode=oracle_mode,
                          reference=reference)
     trace = StreamTrace()
     for obs in source:

@@ -221,24 +221,20 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-6) -> np
     return g
 
 
-def gradients_match(analytic, numeric, rel: float = 1e-5, floor: float = 1e-8) -> bool:
-    """Tolerance policy shared by tests and gradcheck: relative error <= rel
-    with an absolute floor for near-zero coordinates."""
+def max_grad_error(analytic, numeric, rel: float = 1e-5, floor: float = 1e-8) -> float:
+    """Largest scaled deviation |a - n| / (rel * max(|a|, |n|, floor / rel)),
+    a relative error with an absolute floor: <= 1 passes, inf on a shape
+    mismatch."""
     a = np.asarray(analytic, dtype=float).ravel()
     n = np.asarray(numeric, dtype=float).ravel()
     if a.shape != n.shape:
-        return False
-    if a.size == 0:
-        return True
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor / rel)
-    return bool(np.all(np.abs(a - n) <= rel * scale))
-
-
-def max_grad_error(analytic, numeric, rel: float = 1e-5, floor: float = 1e-8) -> float:
-    """Largest scaled deviation under the gradients_match policy (<= 1 passes)."""
-    a = np.asarray(analytic, dtype=float).ravel()
-    n = np.asarray(numeric, dtype=float).ravel()
+        return float("inf")
     if a.size == 0:
         return 0.0
     scale = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor / rel)
     return float(np.max(np.abs(a - n) / (rel * scale)))
+
+
+def gradients_match(analytic, numeric, rel: float = 1e-5, floor: float = 1e-8) -> bool:
+    """The tolerance policy shared by tests and gradcheck."""
+    return max_grad_error(analytic, numeric, rel, floor) <= 1.0

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from vfe_stream import kernel
 from vfe_stream.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
@@ -446,6 +447,31 @@ def test_gradcheck_negative_control_fails(tmp_path):
     assert report["checks"]["recursion_matches_enumeration"] is False
 
 
+@pytest.mark.parametrize("planted,failing", [
+    ("psi_gradient", "psi_gradient_matches_fd"),
+    ("theta_gradient", "theta_gradient_matches_fd"),
+])
+@pytest.mark.parametrize("doc", [{"instances": 3},
+                                 {"K": 3, "M": 3, "tau": 4, "instances": 2}],
+                         ids=["default", "K3"])
+def test_gradcheck_catches_a_sign_error_in_the_kernel(tmp_path, monkeypatch,
+                                                      doc, planted, failing):
+    # a sign error in a gradient the learner steps along makes it descend;
+    # gradcheck audits those very functions, so only that check fails
+    correct = getattr(kernel, planted)
+
+    def flipped(*args):
+        gradient = correct(*args)
+        return lambda x: -gradient(x)
+
+    monkeypatch.setattr(kernel, planted, flipped)
+    cfgp = write_json(tmp_path / "g.json", doc)
+    assert run(["gradcheck", "--config", cfgp, "--out", str(tmp_path),
+                "--quiet"]) == 3
+    checks = json.loads((tmp_path / "gradcheck.json").read_text())["checks"]
+    assert [name for name, ok in checks.items() if not ok] == [failing]
+
+
 def test_gradcheck_guard_exits_2(tmp_path):
     cfgp = write_json(tmp_path / "g.json", {"K": 10, "tau": 10, "instances": 1})
     assert run(["gradcheck", "--config", cfgp, "--out", str(tmp_path),
@@ -465,6 +491,72 @@ def test_gradcheck_prints_one_line_per_check(tmp_path, capsys):
     run(["gradcheck", "--config", cfgp, "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
+
+
+# -- seeds --------------------------------------------------------------------
+
+# each seed keys a Philox generator, whose key must lie in [0, 2**128)
+_BAD_SEEDS = {
+    "generate-seed-negative": ("generate", {"seed": -1}, []),
+    "generate-seed-2**128": ("generate", {"seed": 2 ** 128}, []),
+    "generate-flag-negative": ("generate", {}, ["--seed", "-1"]),
+    "fit-init_seed-negative": ("fit", {"init_seed": -3}, []),
+    "fit-seed-2**128": ("fit", {"seed": 2 ** 128}, []),
+    "fit-flag-2**128": ("fit", {}, ["--seed", str(2 ** 128)]),
+    "gradcheck-seed-negative": ("gradcheck", {"seed": -1}, []),
+    "gradcheck-last-instance-2**128":
+        ("gradcheck", {"seed": 2 ** 128 - 2, "instances": 3}, []),
+    "gradcheck-flag-last-instance-2**128":
+        ("gradcheck", {"instances": 3}, ["--seed", str(2 ** 128 - 2)]),
+}
+
+
+@pytest.mark.parametrize("command,fields,flags", list(_BAD_SEEDS.values()),
+                         ids=list(_BAD_SEEDS))
+def test_seed_out_of_range_exits_2(tmp_path, capsys, command, fields, flags):
+    # these once ended in a traceback from the generator, exit 1
+    gen = write_json(tmp_path / "gen.json", base_config(length=20))
+    run(["generate", "--config", gen, "--out", str(tmp_path), "--quiet"])
+    doc = {} if command == "gradcheck" else base_config(length=20)
+    doc.update(fields)
+    cfgp = write_json(tmp_path / "c.json", doc)
+    argv = [command, "--config", cfgp, "--out", str(tmp_path), "--quiet"]
+    if command == "fit":
+        argv += ["--data", str(tmp_path / "data.jsonl")]
+    before = sorted(os.listdir(tmp_path))
+    assert run(argv + flags) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_mu_with_a_zero_entry_exits_2(tmp_path, capsys, command):
+    # a pinned-softmax belief puts mass on every state, so such a learner
+    # once stalled on every observation with an objective of -inf
+    gen = write_json(tmp_path / "gen.json", base_config(length=40))
+    run(["generate", "--config", gen, "--out", str(tmp_path), "--quiet"])
+    model = dict(TRUTH_MODEL, mu=[1.0, 0.0])
+    data = str(tmp_path / "data.jsonl")
+    if command == "fit":
+        doc = base_config(length=40, model=model)
+    else:
+        doc = _compare_doc(tmp_path, [_candidate("a", dict(TRUTH_MODEL)),
+                                      _candidate("b", model)])
+    cfgp = write_json(tmp_path / "c.json", doc)
+    argv = [command, "--config", cfgp, "--out", str(tmp_path), "--quiet"]
+    if command == "fit":
+        argv += ["--data", data]
+    before = sorted(os.listdir(tmp_path))
+    assert run(argv) == 2
+    assert "mu" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_generate_accepts_a_mu_with_a_zero_entry(tmp_path):
+    cfgp = write_json(tmp_path / "c.json",
+                      base_config(model=dict(TRUTH_MODEL, mu=[1.0, 0.0])))
+    assert run(["generate", "--config", cfgp, "--out", str(tmp_path),
+                "--quiet"]) == 0
 
 
 # -- report paths -------------------------------------------------------------

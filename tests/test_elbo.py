@@ -2,16 +2,12 @@ import numpy as np
 import pytest
 
 from vfe_stream.elbo import (
-    apply_theta_step,
     base_summaries,
     elbo_recursive,
     finish,
     grad_psi,
     grad_theta,
-    local_elbo,
-    local_elbo_first,
-    local_psi_gradient,
-    local_psi_gradient_first,
+    history_prefix,
     params_free_vector,
     params_from_free,
     scratch_summaries,
@@ -35,7 +31,13 @@ from vfe_stream.oracle import (
     gradients_match,
 )
 
-from helpers import near_identity_params, random_hmm, random_obs
+from helpers import (
+    block_psi_gradient,
+    block_psi_gradient_first,
+    near_identity_params,
+    random_hmm,
+    random_obs,
+)
 
 
 def pin(v) -> np.ndarray:
@@ -193,15 +195,6 @@ def test_grad_theta_pinned_coordinates_exactly_zero():
     assert np.all(g.dbeta[:, 0] == 0.0)
 
 
-def test_apply_theta_step_preserves_pinning():
-    hmm = random_hmm(2, 2, 3)
-    h = random_history(2, 3, 3)
-    g = grad_theta(hmm, h, random_obs(2, 3, 3))
-    p2 = apply_theta_step(hmm.params, g, 0.1)
-    assert np.all(p2.alpha_tilde[:, 0] == 0.0)
-    assert np.all(p2.beta_tilde[:, 0] == 0.0)
-
-
 def test_grad_psi_tau1_matches_finite_differences():
     hmm = random_hmm(2, 2, 7)
     h = MfaHistory(pin([0.0, 0.3]))
@@ -254,57 +247,37 @@ def test_grad_psi_stationary_at_factorized_posterior():
     assert abs(val - forward_filter(hmm, obs).log_evidence) < 1e-9
 
 
-def test_local_form_matches_global_objective():
-    # the last fold step as a local function of the updatable pair: shifts
-    # in the pair move the local and the global objective identically
-    hmm = random_hmm(2, 2, 9)
-    obs = random_obs(2, 4, 9)
-    h = random_history(2, 4, 9)
-    prefix_obs = obs[:-1]
-    from vfe_stream.elbo import history_prefix
-    s = scratch_summaries(hmm, history_prefix(h), prefix_obs)
-    W, G = step_inputs(hmm, s.v, h, obs[-1])
+@pytest.mark.parametrize("tau", [1, 2, 4])
+@pytest.mark.parametrize("K", [2, 3])
+def test_block_psi_gradient_matches_finite_differences(K, tau):
+    # the block-form reference that test_kernel holds the flat kernel
+    # gradient to, checked here against the objective itself
+    hmm = random_hmm(K, 3, seed=K + tau)
+    obs = random_obs(3, tau, seed=tau)
+    h = random_history(K, tau, seed=20 + tau)
+    prev = None
+    if tau > 1:
+        prev = scratch_summaries(hmm, history_prefix(h), obs[:-1])
+    W, G = step_inputs(hmm, prev, h, obs[-1])
     a0, b0 = h.updatable_logits()
-    base_local = local_elbo(W, G, a0, b0)
-    base_global, _ = elbo_recursive(hmm, h, obs)
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        a, b = pin(rng.normal(size=2)), pin(rng.normal(size=2))
+    if tau == 1:
+        blocks = [block_psi_gradient_first(W, b0)]
+    else:
+        blocks = list(block_psi_gradient(W, G, a0, b0))
+    assert all(g[0] == 0.0 for g in blocks)
+    x0 = np.concatenate([b[1:] for b in (a0, b0) if b is not None])
+
+    def f(x):
+        rows = np.insert(x.reshape(len(blocks), K - 1), 0, 0.0, axis=1)
         h2 = copy_history(h)
-        h2.set_updatable(a, b)
-        delta_local = local_elbo(W, G, a, b) - base_local
-        delta_global = elbo_recursive(hmm, h2, obs)[0] - base_global
-        assert abs(delta_local - delta_global) < 1e-12
+        h2.set_updatable(*rows[:-1], rho_curr=rows[-1])
+        return elbo_recursive(hmm, h2, obs)[0]
 
-
-def test_local_gradient_matches_local_objective():
-    rng = np.random.default_rng(11)
-    W = rng.normal(size=3)
-    G = rng.normal(size=(3, 3))
-    a0, b0 = pin(rng.normal(size=3)), pin(rng.normal(size=3))
-    ga, gb = local_psi_gradient(W, G, a0, b0)
-    x0 = np.concatenate([a0[1:], b0[1:]])
-
-    def f(x):
-        return local_elbo(W, G, np.concatenate([[0.0], x[:2]]),
-                          np.concatenate([[0.0], x[2:]]))
-
-    assert gradients_match(np.concatenate([ga[1:], gb[1:]]),
-                           finite_diff_grad(f, x0))
-    assert ga[0] == 0.0 and gb[0] == 0.0
-
-
-def test_local_first_gradient_matches():
-    rng = np.random.default_rng(12)
-    base = rng.normal(size=3)
-    r0 = pin(rng.normal(size=3))
-    g = local_psi_gradient_first(base, r0)
-
-    def f(x):
-        return local_elbo_first(base, np.concatenate([[0.0], x]))
-
-    assert gradients_match(g[1:], finite_diff_grad(f, r0[1:].copy()))
-    assert g[0] == 0.0
+    analytic = np.concatenate([g[1:] for g in blocks])
+    assert gradients_match(analytic, finite_diff_grad(f, x0))
+    # and the kernel's flat gradient, which grad_psi evaluates, is the same
+    flat = grad_psi(hmm, h, obs)
+    assert np.max(np.abs(flat - analytic)) <= 1e-12 * max(1.0, np.max(np.abs(analytic)))
 
 
 def test_streaming_manual_two_step_bit_identical():

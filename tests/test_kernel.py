@@ -9,12 +9,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import near_identity_params, random_hmm, random_obs
+from helpers import (
+    block_psi_gradient,
+    block_psi_gradient_first,
+    near_identity_params,
+    random_hmm,
+    random_obs,
+)
 
 from vfe_stream import elbo as elbo_mod
 from vfe_stream import kernel
 from vfe_stream import learner
-from vfe_stream.elbo import ThetaGrad, apply_theta_step
 from vfe_stream.kernel import ascent_step
 from vfe_stream.learner import Schedule, ingest, init_learner
 from vfe_stream.mfa import MfaFamily, MfaHistory, augment
@@ -24,10 +29,10 @@ TAU = 60
 
 
 class Reference:
-    """One stream through the per-iteration validated path: every ascent
-    step goes through ascent_step, every parameter step through
-    apply_theta_step and build_hmm, every fold step through
-    streaming_update_summaries."""
+    """One stream through the per-iteration validated path: every belief
+    gradient in the block form of tests/helpers.py, every ascent step
+    through ascent_step, every parameter step through ModelParams and
+    build_hmm, every fold step through streaming_update_summaries."""
 
     def __init__(self, params, mu, schedule):
         self.params = params
@@ -64,7 +69,7 @@ class Reference:
             base = hmm.log_mu() + hmm.log_A[:, o - 1]
             b = hist.superseded_logits(1).copy()
             for _ in range(sched.psi_updates_per_obs):
-                g = elbo_mod.local_psi_gradient_first(base, b)
+                g = block_psi_gradient_first(base, b)
                 b, stalled = ascent_step(b, g, sched.psi_step)
                 if stalled:
                     self.stalls += 1
@@ -72,11 +77,11 @@ class Reference:
                 applied += 1
             hist.set_updatable(rho_curr=b)
             return applied
-        W, G = elbo_mod.step_inputs(hmm, self.summaries.v, hist, o)
+        W, G = elbo_mod.step_inputs(hmm, self.summaries, hist, o)
         K = hmm.K
         x = np.concatenate(hist.updatable_logits())
         for _ in range(sched.psi_updates_per_obs):
-            ga, gb = elbo_mod.local_psi_gradient(W, G, x[:K], x[K:])
+            ga, gb = block_psi_gradient(W, G, x[:K], x[K:])
             x, stalled = ascent_step(x, np.concatenate([ga, gb]), sched.psi_step)
             if stalled:
                 self.stalls += 1
@@ -104,9 +109,10 @@ class Reference:
             if not np.all(np.isfinite(dense)):
                 self.stalls += 1
                 break
-            grad = ThetaGrad(dalpha=dense[: K * M].reshape(K, M),
-                             dbeta=dense[K * M:].reshape(K, K))
-            params = apply_theta_step(params, grad, step)
+            # pinned columns are zero in dense, so pinning is kept exactly
+            params = ModelParams(
+                alpha_tilde=params.alpha_tilde + step * dense[: K * M].reshape(K, M),
+                beta_tilde=params.beta_tilde + step * dense[K * M:].reshape(K, K))
             hmm = build_hmm(self.mu, params)
             applied += 1
         self.params, self.hmm = params, hmm

@@ -56,6 +56,15 @@ def test_schedule_allows_zero_update_counts():
     assert s.psi_updates_per_obs == 0
 
 
+@pytest.mark.parametrize("init_rule", ["prediction", "uniform"])
+def test_init_learner_rejects_a_mu_with_a_zero_entry(init_rule):
+    # no pinned-softmax belief can leave a state without mass, so the
+    # objective would be -inf from the first observation on
+    params = ModelParams.random(StateSpace(2, 2), seed=1)
+    with pytest.raises(ConstraintError, match="mu"):
+        init_learner(params, [1.0, 0.0], Schedule(), init_rule=init_rule)
+
+
 def test_schedule_rejects_bad_values():
     with pytest.raises(ConstraintError):
         Schedule(psi_updates_per_obs=-1)
@@ -230,7 +239,7 @@ def test_single_state_stream_is_exact():
     params = ModelParams.from_matrices(hmm.A, hmm.B)
     obs = [1, 2, 2, 1, 2]
     res = run_stream(params, hmm.mu, obs,
-                     Schedule(theta_updates_per_obs=0), oracle_enabled="self")
+                     Schedule(theta_updates_per_obs=0), oracle_mode="self")
     expected = 0.0
     for rec, o in zip(res.trace.records, obs):
         expected += np.log(hmm.A[0, o - 1])
@@ -243,7 +252,7 @@ def test_self_oracle_gap_nonnegative_and_exact_columns():
     hmm = random_hmm(K=2, M=2, seed=11)
     params = ModelParams.random(StateSpace(K=2, M=2), seed=12)
     obs = random_obs(2, 12, seed=13)
-    res = run_stream(params, hmm.mu, obs, Schedule(), oracle_enabled=True)
+    res = run_stream(params, hmm.mu, obs, Schedule(), oracle_mode="self")
     for rec in res.trace.records:
         assert rec.gap is not None
         assert rec.gap >= -1e-10
@@ -260,7 +269,7 @@ def test_reference_oracle_tracks_fixed_truth_model():
     obs = list(traj.observations)
     params = ModelParams.random(StateSpace(K=2, M=2), seed=22)
     res = run_stream(params, truth.mu, obs, Schedule(),
-                     oracle_enabled="reference", reference=truth)
+                     oracle_mode="reference", reference=truth)
     for i, rec in enumerate(res.trace.records, start=1):
         assert rec.gap is None
         filt = forward_filter(truth, obs[:i])
@@ -279,7 +288,7 @@ def test_seeded_stream_tracks_evidence():
     traj = sample_trajectory(truth, 200, seed=7)
     params = ModelParams.random(StateSpace(K=2, M=2), seed=3)
     res = run_stream(params, truth.mu, traj.observations, Schedule(),
-                     oracle_enabled="self")
+                     oracle_mode="self")
     last = res.trace.records[-1]
     assert last.gap >= -1e-10
     assert last.gap / 200.0 < 0.02
@@ -312,7 +321,7 @@ def test_repeat_runs_identical():
     obs = random_obs(3, 25, seed=83)
 
     def once():
-        res = run_stream(params, hmm.mu, obs, Schedule(), oracle_enabled="self")
+        res = run_stream(params, hmm.mu, obs, Schedule(), oracle_mode="self")
         return res.trace.to_csv_text(), json.dumps(summary_dict(res), sort_keys=True)
 
     csv1, sum1 = once()
@@ -338,7 +347,7 @@ def test_summary_dict_schema():
     hmm = random_hmm(K=2, M=2, seed=91)
     params = ModelParams.random(StateSpace(K=2, M=2), seed=92)
     obs = random_obs(2, 10, seed=93)
-    res = run_stream(params, hmm.mu, obs, Schedule(), oracle_enabled="self")
+    res = run_stream(params, hmm.mu, obs, Schedule(), oracle_mode="self")
     s = summary_dict(res)
     assert s["tau"] == 10
     assert s["family"] == "reversed"

@@ -241,6 +241,17 @@ def test_grad_tolerance_policy():
     assert max_grad_error(np.array([1.0]), np.array([1.0 + 1e-5])) <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("analytic,numeric", [
+    ([1.0], [1.0, 1.0, 1.0]),
+    ([1.0, 1.0], []),
+    ([], [0.0]),
+], ids=["broadcast", "empty-numeric", "empty-analytic"])
+def test_grad_error_on_mismatched_shapes_is_infinite(analytic, numeric):
+    # broadcasting once scored [1.0] against [1.0, 1.0, 1.0] as 0.0, a pass
+    assert max_grad_error(analytic, numeric) == float("inf")
+    assert gradients_match(analytic, numeric) is False
+
+
 def test_vfe_trajectory_independence_of_impossible_mass():
     # adding the zero row of mu never produces NaN: log space is guarded
     hmm = build_hmm([1.0, 0.0], near_identity_params(2))
