@@ -19,7 +19,7 @@ import numpy as np
 
 from . import elbo as elbo_mod
 from .learner import Schedule, run_stream, summary_dict
-from .mfa import MfaFamily, MfaHistory, augment, full_q
+from .mfa import MfaFamily, MfaHistory, full_q
 from .model import (
     ConstraintError,
     GenerativeHMM,
@@ -350,16 +350,12 @@ def cmd_compare(compare_doc: dict, out_dir: str, quiet: bool,
 # -- gradcheck ----------------------------------------------------------------
 
 def _random_history(K: int, tau: int, rng) -> MfaHistory:
-    def pin(v):
-        v = np.asarray(v, dtype=float).copy()
-        v[0] = 0.0
-        return v
-
-    h = MfaHistory(pin(rng.normal(size=K)))
-    for _ in range(2, tau + 1):
-        augment(h, "uniform")
-        h.set_updatable(pin(0.7 * rng.normal(size=K)), pin(rng.normal(size=K)))
-    return h
+    """Normal pinned rows, the revision rows scaled by 0.7."""
+    rows = rng.normal(size=(2 * tau - 1, K))
+    rows[1::2] *= 0.7
+    rows[:, 0] = 0.0
+    return MfaHistory.from_dict({"horizon": tau, "rho": rows.tolist(),
+                                 "frozen_below": tau - 1})
 
 
 def _gradcheck_instance(K: int, M: int, tau: int, seed: int,
@@ -390,17 +386,16 @@ def _gradcheck_instance(K: int, M: int, tau: int, seed: int,
         elbo_mod.grad_theta(hmm, hist, obs).free_vector(),
         finite_diff_grad(f_theta, elbo_mod.params_free_vector(params)))
 
-    # the free coordinates of the updatable blocks, one row per block
-    blocks = np.array([b for b in hist.updatable_logits() if b is not None])
+    # the free coordinates of the updatable rows
+    x = hist.updatable_logits()
 
     def f_psi(v):
         h2 = MfaHistory.from_dict(hist.to_dict())
-        rows = np.insert(v.reshape(len(blocks), K - 1), 0, 0.0, axis=1)
-        h2.set_updatable(*rows[:-1], rho_curr=rows[-1])
+        h2.set_updatable(np.insert(v.reshape(len(x), K - 1), 0, 0.0, axis=1))
         return elbo_mod.elbo_recursive(hmm, h2, obs)[0]
 
     psi_err = max_grad_error(elbo_mod.grad_psi(hmm, hist, obs),
-                             finite_diff_grad(f_psi, blocks[:, 1:].ravel()))
+                             finite_diff_grad(f_psi, x[:, 1:].ravel()))
 
     log_z = forward_filter(hmm, obs).log_evidence
     gap = log_z - rec
@@ -477,15 +472,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Streaming variational inference and learning for "
                     "discrete-state hidden Markov models.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, needs_data in (("generate", False), ("fit", True),
-                             ("compare", False), ("gradcheck", False)):
+    # each flag only on the commands that apply it: any other exits 2
+    for name in ("generate", "fit", "compare", "gradcheck"):
         sp = sub.add_parser(name)
+        sp.set_defaults(seed=None, oracle=False)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--data", required=needs_data)
+        sp.add_argument("--data", required=name == "fit")
         sp.add_argument("--out", default=".")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--oracle", action="store_true",
-                        help="force-enable the self oracle")
+        if name != "compare":
+            sp.add_argument("--seed", type=int)
+        if name == "fit":
+            sp.add_argument("--oracle", action="store_true",
+                            help="force-enable the self oracle")
         sp.add_argument("--quiet", action="store_true")
     return p
 

@@ -27,10 +27,12 @@ Cost per fold step is O(K^2 * dim(theta)), independent of tau, which is the
 whole point: the learner carries (V, U) across observations instead of
 recomputing the fold.  The fold step's arithmetic lives in kernel.fold_step;
 the functions here check the horizon and the observation around it, and
-recompute everything from scratch as the audit path.  The audit objective
-needs no U, so elbo_recursive sums V's per-time terms in one vectorized
-pass.  grad_psi and grad_theta evaluate the kernel's gradients, the ones
-the learner ascends, at inputs refolded exactly from the history.
+recompute everything from scratch as the audit path.  They read the
+history as its array of rows (MfaHistory.rows, the checkpoint's layout):
+elbo_recursive takes the snapshot rows and the revision rows as two
+strided arrays and sums V's per-time terms in one pass, with no U.
+grad_psi and grad_theta evaluate the kernel's gradients, the ones the
+learner ascends, at inputs refolded exactly from the history.
 """
 
 from __future__ import annotations
@@ -113,15 +115,6 @@ def base_summaries(hmm: GenerativeHMM, history: MfaHistory, o1: int) -> ElboSumm
     return ElboSummaries(v=v, u=u, t=1)
 
 
-def _step_blocks(history: MfaHistory, t: int) -> tuple:
-    """(log revision marginal, log current marginal, log superseded
-    marginal of t-1) for fold step t >= 2."""
-    prev_rev, curr = history._snapshots[t - 1]
-    # history blocks are validated when they are stored
-    return tuple(log_softmax(np.array(
-        [prev_rev, curr, history.superseded_logits(t - 1)])))
-
-
 def step_summaries(prev: ElboSummaries, hmm: GenerativeHMM, history: MfaHistory,
                    t: int, o_t: int) -> ElboSummaries:
     """One fold step: advance (V, U) from time t-1 to time t."""
@@ -130,8 +123,11 @@ def step_summaries(prev: ElboSummaries, hmm: GenerativeHMM, history: MfaHistory,
     o_idx = int(o_t) - 1
     if not 0 <= o_idx < hmm.M:
         raise ConstraintError(f"observation values must lie in 1..{hmm.M}")
-    v, u = fold_step(prev.v, prev.u, *_step_blocks(history, t),
-                     hmm.A, hmm.B, hmm.log_A, hmm.log_B, o_idx)
+    # the log revision and current marginals and the superseded one of t-1;
+    # history rows are validated when they are stored
+    rows = log_softmax(history.rows[[2 * t - 3, 2 * t - 2, 2 * t - 4]])
+    v, u = fold_step(prev.v, prev.u, *rows, hmm.A, hmm.B, hmm.log_A,
+                     hmm.log_B, o_idx)
     return ElboSummaries(v=v, u=u, t=t)
 
 
@@ -185,14 +181,13 @@ def elbo_recursive(hmm: GenerativeHMM, history: MfaHistory,
     L = b_tau + pi_tau . f_tau.
     """
     o = _checked_observations(hmm, history, observations)
-    snapshots = history._snapshots
-    # row t - 1 is ln curr_t, and ln sup_{t+1} too
-    log_curr = log_softmax(np.array([curr for _, curr in snapshots]))
+    # the snapshot rows: row t - 1 is ln curr_t, and ln sup_{t+1} too
+    log_curr = log_softmax(history.rows[0::2])
     f = hmm.log_A[:, o].T - log_curr
     f[0] += hmm.log_mu()
     b = 0.0
-    if len(snapshots) > 1:
-        log_w = log_softmax(np.array([rev for rev, _ in snapshots[1:]]))
+    if history.horizon > 1:
+        log_w = log_softmax(history.rows[1::2])
         w = np.exp(log_w)
         f[1:] += w @ hmm.log_B
         b = float(np.sum(w * (f[:-1] + log_curr[:-1] - log_w)))
@@ -234,7 +229,7 @@ def _audit_inputs(hmm: GenerativeHMM, history: MfaHistory,
     o = _checked_observations(hmm, history, observations)
     if history.horizon == 1:
         return o, None
-    return o, scratch_summaries(hmm, history_prefix(history), o[:-1] + 1)
+    return o, scratch_summaries(hmm, history.prefix(), o[:-1] + 1)
 
 
 def grad_theta(hmm: GenerativeHMM, history: MfaHistory,
@@ -252,30 +247,17 @@ def grad_theta(hmm: GenerativeHMM, history: MfaHistory,
 
 def grad_psi(hmm: GenerativeHMM, history: MfaHistory,
              observations: Sequence[int]) -> np.ndarray:
-    """Gradient over the free coordinates of the newest snapshot's blocks:
-    the revision block's then the current block's, each without its pinned
+    """Gradient over the free coordinates of the newest snapshot's rows:
+    the revision row's then the current row's, each without its pinned
     first entry (2K - 2 of them, K - 1 at horizon 1).
 
-    The carried V through time tau - 1 does not depend on those blocks, so
+    The carried V through time tau - 1 does not depend on those rows, so
     only the final fold step differentiates, through kernel.psi_gradient;
-    frozen-block coordinates are not emitted at all.
+    frozen-row coordinates are not emitted at all.
     """
     o, prev = _audit_inputs(hmm, history, observations)
-    x = np.array([b for b in history.updatable_logits() if b is not None])
-    n, K = x.shape
+    x = history.updatable_logits()
     W, G = step_inputs(hmm, prev, history, int(o[-1]) + 1)
-    g = kernel.psi_gradient(W, G, n, K)(x.ravel())
-    return g.reshape(n, K)[:, 1:].ravel()
+    g = kernel.psi_gradient(W, G, *x.shape)(x.ravel())
+    return g.reshape(x.shape)[:, 1:].ravel()
 
-
-def history_prefix(history: MfaHistory) -> MfaHistory:
-    """A horizon tau - 1 view sharing the frozen snapshots.
-
-    The newest snapshot is dropped; the time tau - 1 belief reverts to the
-    snapshot tau - 1 block, which is exactly the state before augmentation.
-    """
-    if history.horizon < 2:
-        raise ConstraintError("no prefix below horizon 1")
-    prefix = MfaHistory.__new__(MfaHistory)
-    prefix._snapshots = history._snapshots[:-1]
-    return prefix

@@ -1,13 +1,13 @@
 """Streaming coordinate-ascent learner.
 
 Per observation: grow the horizon, run a fixed budget of ascent steps on the
-two updatable belief blocks, then a fixed budget on the model parameters
+two updatable belief rows, then a fixed budget on the model parameters
 (using the just-updated beliefs), then advance the carried (V, U) summaries
 and append a trace record.  Per-observation cost is constant in the horizon.
 
 The two ascent loops run in kernel on plain arrays.  This module hands them
 inputs taken from the validated state and validates what comes back once
-per observation: the belief blocks through MfaHistory.set_updatable, the
+per observation: the belief rows through MfaHistory.set_updatable, the
 parameters through ModelParams and build_hmm.
 
 Both mean-field families run this one path.  The reversed family's
@@ -176,15 +176,14 @@ def _first_block(state: LearnerState) -> np.ndarray:
 
 
 def _psi_phase(state: LearnerState, o: int) -> int:
-    """Ascent on the updatable blocks; returns applied update count."""
-    sched = state.schedule
-    hist = state.history
+    """Ascent on the updatable rows; returns applied update count."""
+    sched, hist = state.schedule, state.history
     W, G = elbo_mod.step_inputs(state.hmm, state.summaries, hist, o)
-    x = np.array([b for b in hist.updatable_logits() if b is not None])
     x, applied, stalled = kernel.psi_ascent(
-        x, W, G, sched.psi_updates_per_obs, sched.psi_step)
+        hist.updatable_logits(), W, G, sched.psi_updates_per_obs,
+        sched.psi_step)
     state.stalls_total += stalled
-    hist.set_updatable(*x[:-1], rho_curr=x[-1])
+    hist.set_updatable(x)
     return applied
 
 

@@ -1,12 +1,16 @@
 """Mean-field state over a growing horizon.
 
-The variational state is a sequence of per-time softmax marginals with the
-first logit of each block pinned to zero.  When the horizon grows from tau to
-tau + 1, a snapshot is appended holding two updatable blocks: a revision of
-the time-tau marginal and a fresh block for time tau + 1.  Older blocks are
-frozen and shared by reference, which is what makes per-observation work
-constant in tau: only the newest snapshot is ever written, by a single
-writer, while readers may hold any earlier block.
+The variational state is a sequence of per-time softmax marginals, each a
+row of logits whose first entry is pinned to zero.  When the horizon grows
+from tau to tau + 1, a snapshot is appended holding two updatable rows: a
+revision of the time-tau marginal and a fresh row for time tau + 1.
+MfaHistory stores the snapshots as one array of rows, in the order of the
+checkpoint's "rho" field, [rho_1, rev_1, rho_2, rev_2, ..., rho_tau], so
+the newest snapshot is its last two rows (one at horizon 1).  Only those
+are ever written, by a single writer; a growth copies the older rows bit
+for bit, so frozen rows stay bit-identical for the rest of the run.
+Appending writes two rows into a buffer that doubles when full, which is
+what keeps per-observation work constant in tau.
 
 The joint over s_{1:tau} is assembled from one-step extension factors
 
@@ -30,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import ConstraintError, GenerativeHMM, _check_values, _frozen, softmax_row
+from .model import ConstraintError, GenerativeHMM, _check_values, softmax_row
 from .oracle import ENUMERATION_GUARD, GuardError
 
 
@@ -39,146 +43,164 @@ class MfaFamily(Enum):
     REVERSED = "reversed"
 
 
-def _check_block(rho, K: Optional[int] = None) -> np.ndarray:
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim != 1 or rho.size == 0:
-        raise ConstraintError("rho block must be a non-empty vector")
-    if K is not None and rho.shape[0] != K:
-        raise ConstraintError(f"rho block must have length K = {K}")
-    if not np.all(np.isfinite(rho)):
-        raise ConstraintError("rho block has non-finite entries")
-    if rho[0] != 0.0:
-        raise ConstraintError("rho block pinning violated: first entry must be 0")
-    return _frozen(rho)
+_CAPACITY = 16  # rows a new history allocates; the buffer doubles when full
+
+
+def _check_rows(rows, n: int, K: Optional[int] = None) -> np.ndarray:
+    """rows as an (n, K) float array of finite logit rows pinned at 0."""
+    try:
+        x = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConstraintError("logit rows must be numeric, of one length") from exc
+    if x.ndim != 2 or x.shape[0] != n or x.shape[1] == 0 \
+            or K not in (None, x.shape[1]):
+        raise ConstraintError(f"expected {n} logit rows of length K = {K}")
+    if not np.all(np.isfinite(x)):
+        raise ConstraintError("logit rows have non-finite entries")
+    if np.any(x[:, 0] != 0.0):
+        raise ConstraintError("pinning violated: each row's first entry must be 0")
+    return x
 
 
 class MfaHistory:
-    """Append-only sequence of snapshots.
+    """Append-only sequence of snapshots, stored as one array of logit rows.
 
-    Snapshot 1 holds the single starting block; snapshot t >= 2 holds the
-    pair (revision of time t-1, block for time t).  Only the newest
-    snapshot's blocks may be replaced; everything older is frozen and
-    bit-identical for the rest of the run.
+    Snapshot 1 holds the starting row; snapshot t >= 2 holds the pair
+    (revision of time t-1, row for time t).  Only the newest snapshot's
+    rows may be replaced.  The buffer is read-only outside _write, so every
+    row an accessor returns is a read-only view.
     """
 
     def __init__(self, rho1) -> None:
-        block = _check_block(rho1)
-        self._snapshots = [(None, block)]
+        first = _check_rows([rho1], 1)
+        self._rows = np.empty((0, first.shape[1]))
+        self._write(0, first)
 
-    # -- shape ---------------------------------------------------------------
+    def _write(self, start: int, x: np.ndarray) -> None:
+        """Store the checked rows x from row start on, dropping any rows
+        after them; a full buffer doubles."""
+        end = start + x.shape[0]
+        if end > self._rows.shape[0]:
+            grown = np.empty((max(2 * self._rows.shape[0], end, _CAPACITY), self.K))
+            grown[:start] = self._rows[:start]
+            self._rows = grown
+        self._rows.flags.writeable = True
+        self._rows[start:end] = x
+        self._rows.flags.writeable = False
+        self._n = end
+
+    # -- shape and rows ------------------------------------------------------
 
     @property
     def horizon(self) -> int:
-        return len(self._snapshots)
+        return (self._n + 1) // 2
 
     @property
     def K(self) -> int:
-        return self._snapshots[0][1].shape[0]
+        return self._rows.shape[1]
 
     @property
     def frozen_below(self) -> int:
         """Times strictly below this are frozen at the current horizon."""
-        return max(self.horizon - 1, 0)
+        return self.horizon - 1
 
-    # -- block access --------------------------------------------------------
+    @property
+    def rows(self) -> np.ndarray:
+        """The (2 tau - 1, K) stored rows: row 2t - 2 is the snapshot-t row
+        for time t, row 2t - 1 (t < tau) the revision of time t."""
+        return self._rows[:self._n]
 
     def belief_logits(self, t: int) -> np.ndarray:
-        """Final belief block for time t: the revision stored at snapshot
-        t + 1 once it exists, else the snapshot-t block itself."""
+        """Final belief row for time t: its revision once one exists, else
+        the snapshot-t row itself."""
         if not 1 <= t <= self.horizon:
             raise ConstraintError(f"t must lie in 1..{self.horizon}")
-        if t < self.horizon:
-            return self._snapshots[t][0]
-        return self._snapshots[t - 1][1]
+        return self._rows[min(2 * t - 1, self._n - 1)]
 
     def belief(self, t: int) -> np.ndarray:
         return softmax_row(self.belief_logits(t))
 
     def superseded_logits(self, t: int) -> np.ndarray:
-        """Snapshot-t block for time t, kept after a later revision replaces
+        """Snapshot-t row for time t, kept after a later revision replaces
         it as the belief: it is the denominator of extension factor t + 1."""
         if not 1 <= t <= self.horizon:
             raise ConstraintError(f"t must lie in 1..{self.horizon}")
-        return self._snapshots[t - 1][1]
+        return self._rows[2 * t - 2]
 
     def superseded(self, t: int) -> np.ndarray:
         return softmax_row(self.superseded_logits(t))
 
-    def updatable_logits(self) -> tuple:
-        """(revision block or None, current block) of the newest snapshot."""
-        return self._snapshots[-1]
+    def updatable_logits(self) -> np.ndarray:
+        """The newest snapshot's (n, K) rows: (revision, current), or the
+        current row alone at horizon 1."""
+        return self._rows[max(self._n - 2, 0):self._n]
 
     # -- mutation ------------------------------------------------------------
 
     def append_snapshot(self, rho_curr) -> None:
-        prev = self.belief_logits(self.horizon)  # copy-on-reference; frozen
-        self._snapshots.append((prev, _check_block(rho_curr, self.K)))
+        """Grow the horizon by one: the revision row starts as the outgoing
+        belief, and rho_curr is the row for the new time."""
+        curr = _check_rows([rho_curr], 1, self.K)
+        self._write(self._n, np.concatenate([self._rows[self._n - 1:self._n], curr]))
 
-    def set_updatable(self, rho_prev=None, rho_curr=None) -> None:
-        """Replace blocks of the newest snapshot.  rho_prev is rejected at
-        horizon 1, where no revision block exists."""
-        old_prev, old_curr = self._snapshots[-1]
-        if rho_prev is not None:
-            if old_prev is None:
-                raise ConstraintError("horizon 1 has no revision block")
-            old_prev = _check_block(rho_prev, self.K)
-        if rho_curr is not None:
-            old_curr = _check_block(rho_curr, self.K)
-        self._snapshots[-1] = (old_prev, old_curr)
+    def set_updatable(self, *rows) -> None:
+        """Replace the newest snapshot's rows, given as the (n, K) array
+        updatable_logits returns or as n separate rows.  Two rows are
+        rejected at horizon 1, which has no revision row."""
+        start = max(self._n - 2, 0)
+        self._write(start, _check_rows(rows[0] if len(rows) == 1 else rows,
+                                       self._n - start, self.K))
 
     def drop_newest(self) -> None:
-        """Remove the newest snapshot, undoing append_snapshot and every
-        set_updatable since: neither touches the snapshots below, so the
-        previous horizon comes back exactly."""
+        """Undo append_snapshot and every set_updatable since: neither
+        touches the rows below, so the previous horizon comes back exactly."""
         if self.horizon < 2:
             raise ConstraintError("the starting snapshot cannot be dropped")
-        self._snapshots.pop()
+        self._n -= 2
+
+    def prefix(self) -> "MfaHistory":
+        """A copy at horizon tau - 1, the state before the last
+        augmentation: the time tau - 1 belief reverts to its snapshot row."""
+        if self.horizon < 2:
+            raise ConstraintError("no prefix below horizon 1")
+        out = MfaHistory(self._rows[0])
+        out._write(1, self._rows[1:self._n - 2])
+        return out
 
     def frozen_fingerprint(self) -> tuple:
-        """Raw bytes of every block except the newest snapshot's; tests use
-        this to assert bit-level immutability."""
-        out = []
-        for prev, curr in self._snapshots[:-1]:
-            out.append(None if prev is None else prev.tobytes())
-            out.append(curr.tobytes())
-        return tuple(out)
+        """Raw bytes of each row below the newest snapshot's; tests use this
+        to assert bit-level immutability."""
+        return tuple(row.tobytes() for row in self._rows[:max(self._n - 2, 0)])
 
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Checkpoint document.
-
-        "rho" lists every stored block in interleaved order
-        [rho_1, rev_1, rho_2, rev_2, rho_3, ...]: the snapshot-t block for
-        time t followed, for t >= 2, by the revision of time t-1 stored in
-        the same snapshot.  Both kinds are needed to resume exactly, because
-        superseded blocks remain denominators of the extension factors.
-        """
-        rows = []
-        for prev, curr in self._snapshots:
-            if prev is not None:
-                rows.append([float(x) for x in prev])
-            rows.append([float(x) for x in curr])
-        return {"horizon": self.horizon, "rho": rows,
+        """Checkpoint document: "rho" is the stored rows, both kinds, since a
+        resume needs the superseded rows as extension-factor denominators."""
+        return {"horizon": self.horizon, "rho": self.rows.tolist(),
                 "frozen_below": self.frozen_below}
 
     @staticmethod
     def from_dict(doc: dict) -> "MfaHistory":
+        """The history a checkpoint document describes.  Nothing is coerced:
+        a non-integer horizon or frozen_below, or a rho entry that is not a
+        JSON number, raises ConstraintError."""
         if set(doc) != {"horizon", "rho", "frozen_below"}:
             raise ConstraintError(
                 "history document must have exactly the keys horizon, rho, frozen_below"
             )
-        horizon = int(doc["horizon"])
-        rows = doc["rho"]
-        if horizon < 1 or len(rows) != 2 * horizon - 1:
-            raise ConstraintError("history document has wrong rho row count")
-        if int(doc["frozen_below"]) != max(horizon - 1, 0):
-            raise ConstraintError("frozen_below inconsistent with horizon")
+        horizon, rho = doc["horizon"], doc["rho"]
+        if type(horizon) is not int or horizon < 1:
+            raise ConstraintError("horizon must be an integer >= 1")
+        if type(doc["frozen_below"]) is not int or doc["frozen_below"] != horizon - 1:
+            raise ConstraintError("frozen_below must be the integer horizon - 1")
+        if not isinstance(rho, list) or len(rho) != 2 * horizon - 1 or not all(
+                isinstance(row, list) and all(type(x) in (int, float) for x in row)
+                for row in rho):
+            raise ConstraintError("rho must hold 2 horizon - 1 rows of numbers")
+        rows = _check_rows(rho, len(rho))
         hist = MfaHistory(rows[0])
-        for t in range(2, horizon + 1):
-            prev = _check_block(rows[2 * t - 3], hist.K)
-            curr = _check_block(rows[2 * t - 2], hist.K)
-            hist._snapshots.append((prev, curr))
+        hist._write(1, rows[1:])
         return hist
 
     def save(self, path) -> None:
@@ -206,8 +228,8 @@ def augment(history: MfaHistory, init_rule: str = "uniform",
             hmm: Optional[GenerativeHMM] = None) -> MfaHistory:
     """Grow the horizon by one (in place; the history object is returned).
 
-    The revision block starts as the outgoing belief (no revision yet) and
-    the fresh block follows init_rule: "uniform"/"zeros" for zero logits,
+    The revision row starts as the outgoing belief (no revision yet) and
+    the fresh row follows init_rule: "uniform"/"zeros" for zero logits,
     "prediction" for the one-step prediction under hmm.
     """
     if init_rule in ("uniform", "zeros"):
@@ -243,11 +265,10 @@ def m_conditional(pi_prev_revised, pi_new, pi_prev_old) -> tuple:
 
 
 def extension_factor(history: MfaHistory, t: int) -> tuple:
-    """m_t table for 2 <= t <= horizon, built from the stored blocks."""
+    """m_t table for 2 <= t <= horizon, built from the stored rows."""
     if not 2 <= t <= history.horizon:
         raise ConstraintError("extension factors exist for t >= 2 only")
-    prev_rev, curr = history._snapshots[t - 1]
-    return m_conditional(softmax_row(prev_rev), softmax_row(curr),
+    return m_conditional(history.belief(t - 1), history.superseded(t),
                          history.superseded(t - 1))
 
 

@@ -113,21 +113,13 @@ def test_gradients_match_finite_differences():
                           max_grad_error(g, finite_diff_grad(f_theta, free0)))
 
         gp = elbo_mod.grad_psi(hmm, hist, obs)
-        if hist.horizon >= 2:
-            a0, b0 = hist.updatable_logits()
-            x0 = np.concatenate([a0[1:], b0[1:]])
+        n = len(hist.updatable_logits())
+        x0 = hist.updatable_logits()[:, 1:].ravel()
 
-            def f_psi(v):
-                h2 = MfaHistory.from_dict(hist.to_dict())
-                h2.set_updatable(np.concatenate([[0.0], v[: K - 1]]),
-                                 np.concatenate([[0.0], v[K - 1:]]))
-                return elbo_mod.elbo_recursive(hmm, h2, obs)[0]
-        else:
-            x0 = hist.updatable_logits()[1][1:].copy()
-
-            def f_psi(v):
-                h2 = MfaHistory(np.concatenate([[0.0], v]))
-                return elbo_mod.elbo_recursive(hmm, h2, obs)[0]
+        def f_psi(v):
+            h2 = MfaHistory.from_dict(hist.to_dict())
+            h2.set_updatable(np.insert(v.reshape(n, K - 1), 0, 0.0, axis=1))
+            return elbo_mod.elbo_recursive(hmm, h2, obs)[0]
 
         worst_psi = max(worst_psi,
                         max_grad_error(gp, finite_diff_grad(f_psi, x0)))
@@ -171,7 +163,7 @@ def test_objective_bounded_by_log_evidence():
         hist = MfaHistory(point(obs[0]))
         for t in range(2, tau + 1):
             augment(hist, "uniform")
-            hist.set_updatable(point(obs[t - 2]), point(obs[t - 1]))
+            hist.set_updatable(np.array([point(obs[t - 2]), point(obs[t - 1])]))
         rec, _ = elbo_mod.elbo_recursive(hmm, hist, obs)
         log_z = forward_filter(hmm, obs).log_evidence
         tight_err = max(tight_err, abs(rec - log_z))

@@ -529,6 +529,32 @@ def test_seed_out_of_range_exits_2(tmp_path, capsys, command, fields, flags):
     assert sorted(os.listdir(tmp_path)) == before
 
 
+# --seed belongs to generate, fit and gradcheck, --oracle to fit alone
+_STRAY_FLAGS = {
+    "compare-seed": ("compare", ["--seed", "7"]),
+    "compare-oracle": ("compare", ["--oracle"]),
+    "generate-oracle": ("generate", ["--oracle"]),
+    "gradcheck-oracle": ("gradcheck", ["--oracle"]),
+}
+
+
+@pytest.mark.parametrize("command,flags", list(_STRAY_FLAGS.values()),
+                         ids=list(_STRAY_FLAGS))
+def test_flag_the_command_does_not_apply_exits_2(tmp_path, command, flags):
+    # these were once accepted and ignored, with exit 0
+    if command == "compare":
+        doc = _compare_doc(tmp_path, [_candidate("a", dict(TRUTH_MODEL))])
+    else:
+        doc = {} if command == "gradcheck" else base_config(length=20)
+    cfgp = write_json(tmp_path / "c.json", doc)
+    before = sorted(os.listdir(tmp_path))
+    with pytest.raises(SystemExit) as info:
+        run([command, "--config", cfgp, "--out", str(tmp_path), "--quiet"]
+            + flags)
+    assert info.value.code == 2
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 @pytest.mark.parametrize("command", ["fit", "compare"])
 def test_mu_with_a_zero_entry_exits_2(tmp_path, capsys, command):
     # a pinned-softmax belief puts mass on every state, so such a learner

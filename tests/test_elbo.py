@@ -7,7 +7,6 @@ from vfe_stream.elbo import (
     finish,
     grad_psi,
     grad_theta,
-    history_prefix,
     params_free_vector,
     params_from_free,
     scratch_summaries,
@@ -51,7 +50,8 @@ def random_history(K: int, tau: int, seed: int) -> MfaHistory:
     h = MfaHistory(pin(rng.normal(size=K)))
     for _ in range(2, tau + 1):
         augment(h, "uniform")
-        h.set_updatable(pin(0.7 * rng.normal(size=K)), pin(rng.normal(size=K)))
+        h.set_updatable(np.array([pin(0.7 * rng.normal(size=K)),
+                                  pin(rng.normal(size=K))]))
     return h
 
 
@@ -82,8 +82,8 @@ def test_elbo_recursive_matches_the_step_loop(K, tau, revised):
     h = MfaHistory(pin(rng.normal(size=K)))
     for _ in range(2, tau + 1):
         augment(h, "uniform")
-        rev = pin(0.7 * rng.normal(size=K)) if revised else None
-        h.set_updatable(rev, pin(rng.normal(size=K)))
+        rev = pin(0.7 * rng.normal(size=K)) if revised else h.updatable_logits()[0]
+        h.set_updatable(np.array([rev, pin(rng.normal(size=K))]))
     val, v = elbo_recursive(hmm, h, obs)
     loop = scratch_summaries(hmm, h, obs)
     ref = finish(loop, h)
@@ -214,13 +214,11 @@ def test_grad_psi_matches_finite_differences():
         hmm = random_hmm(K, 2, seed)
         obs = random_obs(2, 4, seed)
         h = random_history(K, 4, seed + 50)
-        a0, b0 = h.updatable_logits()
-        x0 = np.concatenate([a0[1:], b0[1:]])
+        x0 = h.updatable_logits()[:, 1:].ravel()
 
         def f(x):
             h2 = copy_history(h)
-            h2.set_updatable(np.concatenate([[0.0], x[: K - 1]]),
-                             np.concatenate([[0.0], x[K - 1:]]))
+            h2.set_updatable(np.insert(x.reshape(2, K - 1), 0, 0.0, axis=1))
             return elbo_recursive(hmm, h2, obs)[0]
 
         analytic = grad_psi(hmm, h, obs)
@@ -240,7 +238,7 @@ def test_grad_psi_stationary_at_factorized_posterior():
     logits = [np.log(row) - np.log(row[0]) for row in sm]
     h = MfaHistory(pin(logits[0]))
     augment(h, "uniform")
-    h.set_updatable(pin(logits[0]), pin(logits[1]))
+    h.set_updatable(np.array([pin(logits[0]), pin(logits[1])]))
     g = grad_psi(hmm, h, obs)
     assert np.linalg.norm(g) <= 1e-8
     val, _ = elbo_recursive(hmm, h, obs)
@@ -257,20 +255,19 @@ def test_block_psi_gradient_matches_finite_differences(K, tau):
     h = random_history(K, tau, seed=20 + tau)
     prev = None
     if tau > 1:
-        prev = scratch_summaries(hmm, history_prefix(h), obs[:-1])
+        prev = scratch_summaries(hmm, h.prefix(), obs[:-1])
     W, G = step_inputs(hmm, prev, h, obs[-1])
-    a0, b0 = h.updatable_logits()
+    rows = h.updatable_logits()
     if tau == 1:
-        blocks = [block_psi_gradient_first(W, b0)]
+        blocks = [block_psi_gradient_first(W, rows[0])]
     else:
-        blocks = list(block_psi_gradient(W, G, a0, b0))
+        blocks = list(block_psi_gradient(W, G, *rows))
     assert all(g[0] == 0.0 for g in blocks)
-    x0 = np.concatenate([b[1:] for b in (a0, b0) if b is not None])
+    x0 = rows[:, 1:].ravel()
 
     def f(x):
-        rows = np.insert(x.reshape(len(blocks), K - 1), 0, 0.0, axis=1)
         h2 = copy_history(h)
-        h2.set_updatable(*rows[:-1], rho_curr=rows[-1])
+        h2.set_updatable(np.insert(x.reshape(len(blocks), K - 1), 0, 0.0, axis=1))
         return elbo_recursive(hmm, h2, obs)[0]
 
     analytic = np.concatenate([g[1:] for g in blocks])
@@ -302,7 +299,8 @@ def test_streaming_matches_scratch_along_stream():
     summaries = base_summaries(hmm, h, obs[0])
     for t in range(2, 13):
         augment(h, "uniform")
-        h.set_updatable(pin(0.5 * rng.normal(size=3)), pin(rng.normal(size=3)))
+        h.set_updatable(np.array([pin(0.5 * rng.normal(size=3)),
+                                  pin(rng.normal(size=3))]))
         summaries = streaming_update_summaries(summaries, obs[t - 1], hmm, h)
         scratch = scratch_summaries(hmm, h, obs[:t])
         assert abs(finish(summaries, h) - finish(scratch, h)) < 1e-10

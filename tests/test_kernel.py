@@ -75,11 +75,11 @@ class Reference:
                     self.stalls += 1
                     break
                 applied += 1
-            hist.set_updatable(rho_curr=b)
+            hist.set_updatable(b[None, :])
             return applied
         W, G = elbo_mod.step_inputs(hmm, self.summaries, hist, o)
         K = hmm.K
-        x = np.concatenate(hist.updatable_logits())
+        x = hist.updatable_logits().ravel()
         for _ in range(sched.psi_updates_per_obs):
             ga, gb = block_psi_gradient(W, G, x[:K], x[K:])
             x, stalled = ascent_step(x, np.concatenate([ga, gb]), sched.psi_step)
@@ -87,7 +87,7 @@ class Reference:
                 self.stalls += 1
                 break
             applied += 1
-        hist.set_updatable(rho_prev=x[:K], rho_curr=x[K:])
+        hist.set_updatable(x.reshape(2, K))
         return applied
 
     def theta_phase(self, o, tau):
@@ -318,4 +318,35 @@ def test_failed_later_ingest_leaves_the_learner_as_it_was(monkeypatch, exc):
     _assert_same_learner(state, twin)
     for o in (1, 2):
         assert ingest(state, o).elbo == ingest(twin, o).elbo
+    _assert_same_learner(state, twin)
+
+
+def test_failed_ingest_that_grows_the_row_buffer_rolls_back(monkeypatch):
+    sched = Schedule(psi_updates_per_obs=2, theta_updates_per_obs=2)
+    obs = random_obs(2, 60, seed=5)
+    probe = _warm_state(sched, n=0)
+    capacity = []
+    for o in obs:
+        ingest(probe, o)
+        capacity.append(len(probe.history.rows.base))
+    grow = next(i for i in range(1, len(obs)) if capacity[i] > capacity[i - 1])
+    state, twin = _warm_state(sched, n=0), _warm_state(sched, n=0)
+    for o in obs[:grow]:
+        ingest(state, o)
+        ingest(twin, o)
+    doc = state.history.to_dict()
+
+    def broken(*args):
+        raise RuntimeError("injected")
+
+    with monkeypatch.context() as m:
+        m.setattr(elbo_mod, "finish", broken)
+        with pytest.raises(RuntimeError, match="injected"):
+            ingest(state, obs[grow])
+    assert len(state.history.rows.base) == capacity[grow]  # it did grow
+    assert state.history.to_dict() == doc
+    _assert_same_learner(state, twin)
+    rest = [[dataclasses.replace(ingest(s, o), wall_ms=0.0) for o in obs[grow:]]
+            for s in (state, twin)]
+    assert rest[0] == rest[1]
     _assert_same_learner(state, twin)

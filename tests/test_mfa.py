@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,7 +37,8 @@ def random_history(K: int, tau: int, seed: int) -> MfaHistory:
     h = MfaHistory(pin(rng.normal(size=K)))
     for _ in range(2, tau + 1):
         augment(h, "uniform")
-        h.set_updatable(pin(rng.normal(size=K)), pin(rng.normal(size=K)))
+        h.set_updatable(np.array([pin(rng.normal(size=K)),
+                                  pin(rng.normal(size=K))]))
     return h
 
 
@@ -81,10 +85,10 @@ def test_augment_prediction_warm_start():
 def test_augment_freezing_bit_identical():
     h = MfaHistory(pin([0.0, 0.4]))
     augment(h, "uniform")
-    h.set_updatable(pin([0.0, -0.3]), pin([0.0, 0.9]))
+    h.set_updatable(np.array([pin([0.0, -0.3]), pin([0.0, 0.9])]))
     frozen = h.belief_logits(1).copy()
     augment(h, "uniform")
-    h.set_updatable(pin([0.0, 2.0]), pin([0.0, -1.0]))
+    h.set_updatable(np.array([pin([0.0, 2.0]), pin([0.0, -1.0])]))
     assert np.array_equal(h.belief_logits(1), frozen)
     assert h.frozen_below == 2
 
@@ -92,19 +96,21 @@ def test_augment_freezing_bit_identical():
 def test_set_updatable_rejected_at_horizon_one():
     h = MfaHistory(pin([0.0, 0.4]))
     with pytest.raises(ConstraintError):
-        h.set_updatable(rho_prev=pin([0.0, 1.0]), rho_curr=pin([0.0, 0.0]))
+        h.set_updatable(np.array([pin([0.0, 1.0]), pin([0.0, 0.0])]))
 
 
 def test_set_updatable_requires_pinning():
     h = random_history(2, 3, 0)
+    rows = h.updatable_logits().copy()
+    rows[1] = [0.5, 0.0]
     with pytest.raises(ConstraintError):
-        h.set_updatable(rho_curr=np.array([0.5, 0.0]))
+        h.set_updatable(rows)
 
 
 def test_frozen_fingerprint_tracks_only_frozen_blocks():
     h = random_history(3, 4, 1)
     fp = h.frozen_fingerprint()
-    h.set_updatable(pin([0.0, 1.0, -1.0]), pin([0.0, 0.5, 0.5]))
+    h.set_updatable(np.array([pin([0.0, 1.0, -1.0]), pin([0.0, 0.5, 0.5])]))
     assert h.frozen_fingerprint() == fp
 
 
@@ -121,7 +127,7 @@ def test_full_q_no_revision_is_product():
     for logits in ([0.0, -0.7], [0.0, 1.2]):
         prev = h.belief_logits(h.horizon).copy()
         augment(h, "uniform")
-        h.set_updatable(prev, pin(logits))
+        h.set_updatable(np.array([prev, pin(logits)]))
     q = full_q(h, MfaFamily.REVERSED)
     assert abs(q.total_mass - 1.0) < 1e-10
     prod = full_q(h, MfaFamily.FULLY_DECOUPLED)
@@ -247,11 +253,95 @@ def test_checkpoint_round_trip(tmp_path):
     assert h3.to_dict() == doc
 
 
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_checkpoint_rows_are_the_stored_rows_across_growths(K):
+    rng = np.random.default_rng(K)
+    h = MfaHistory(pin(rng.normal(size=K)))
+    capacities = set()
+    for tau in range(1, 41):
+        if tau > 1:
+            augment(h, "uniform")
+            h.set_updatable(np.array([pin(rng.normal(size=K)),
+                                      pin(rng.normal(size=K))]))
+        capacities.add(len(h.rows.base))
+        expected = [h.superseded_logits(1)]
+        for t in range(1, tau):
+            expected += [h.belief_logits(t), h.superseded_logits(t + 1)]
+        doc = h.to_dict()
+        assert doc["rho"] == np.array(expected).tolist()
+        back = MfaHistory.from_dict(doc)
+        assert back.to_dict() == doc
+        assert back.frozen_fingerprint() == h.frozen_fingerprint()
+    assert len(capacities) >= 3  # the row buffer grew at least twice
+
+
+def test_prefix_is_a_copy_the_original_never_sees():
+    h = random_history(3, 6, 2)
+    fp, doc = h.frozen_fingerprint(), h.to_dict()
+    p = h.prefix()
+    assert p.horizon == 5
+    assert p.to_dict()["rho"] == doc["rho"][:-2]
+    # rows 8 and 9 of the prefix are frozen rows of h; the augmentation
+    # writes where h keeps its updatable rows
+    p.set_updatable(np.array([pin([0.0, 5.0, -5.0]), pin([0.0, -5.0, 5.0])]))
+    augment(p, "uniform")
+    assert h.frozen_fingerprint() == fp
+    assert h.to_dict() == doc
+
+
+def _horizon_two_doc(**changes):
+    doc = random_history(2, 2, 5).to_dict()
+    doc.update(changes)
+    return doc
+
+
+def _with_entry(row, col, value):
+    doc = _horizon_two_doc()
+    doc["rho"][row][col] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _horizon_two_doc(horizon=2.9),
+    _horizon_two_doc(horizon="2"),
+    _horizon_two_doc(frozen_below=1.5),
+    _horizon_two_doc(frozen_below=True),
+    _with_entry(1, 1, "0.5"),
+    _with_entry(2, 0, False),
+    _with_entry(1, 1, True),
+], ids=["horizon-float", "horizon-string", "frozen_below-float",
+        "frozen_below-bool", "rho-string", "rho-false", "rho-true"])
+def test_from_dict_refuses_what_it_would_have_to_coerce(doc):
+    with pytest.raises(ConstraintError):
+        MfaHistory.from_dict(doc)
+
+
+def test_history_keeps_few_bytes_per_observation():
+    # a (revision, current) pair of rows is 32 B at K = 2; a doubling
+    # buffer keeps at most twice that
+    n = 2000
+    rows = np.random.default_rng(0).normal(size=(n, 2, 2))
+    rows[:, :, 0] = 0.0
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h = MfaHistory(rows[0, 1])
+        for r in rows[1:]:
+            augment(h, "uniform")
+            h.set_updatable(r)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert h.horizon == n
+    assert kept / n <= 80
+
+
 def test_checkpoint_resume_continues_stream():
     h = random_history(2, 3, 4)
     h2 = MfaHistory.from_dict(h.to_dict())
     for hist in (h, h2):
         augment(hist, "uniform")
-        hist.set_updatable(pin([0.0, 0.8]), pin([0.0, -0.2]))
+        hist.set_updatable(np.array([pin([0.0, 0.8]), pin([0.0, -0.2])]))
     assert np.array_equal(full_q(h, MfaFamily.REVERSED).table,
                           full_q(h2, MfaFamily.REVERSED).table)

@@ -4,11 +4,14 @@ Prints one JSON object: for each (K, M) shape, the microseconds per step of
 kernel.psi_ascent (the (2, K) revision and current belief blocks) and of
 kernel.theta_ascent (the K*M + K*K parameter vector); and for each (K, tau)
 in AUDIT_SHAPES, the milliseconds per elbo.elbo_recursive call on a seeded
-history with revisions.  Each figure is the fastest of REPEATS timed runs
-(a STEPS-step loop, or AUDIT_CALLS calls), divided by the step or call
-count: the minimum is the timing least disturbed by other load on a shared
-host.  The inputs are seeded and the same for every checkout, so two
-checkouts can be compared by running the script against each source tree:
+history with revisions.  The history group gives the milliseconds per
+MfaHistory.to_dict and per elbo_recursive call at each tau in
+HISTORY_TAUS, and the bytes a history keeps per observation (tracemalloc)
+at K = 2 and 3.  Each timing is the fastest of REPEATS timed runs (a
+STEPS-step loop, or AUDIT_CALLS calls), divided by the step or call count:
+the minimum is the timing least disturbed by other load on a shared host.
+The inputs are seeded and the same for every checkout, so two checkouts
+can be compared by running the script against each source tree:
 
     PYTHONPATH=src python tools/bench_kernel.py
     PYTHONPATH=/path/to/other/checkout/src python tools/bench_kernel.py
@@ -18,8 +21,10 @@ Needs only the standard library and numpy.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -32,6 +37,8 @@ STEPS = 200
 REPEATS = 15
 AUDIT_SHAPES = [(K, tau) for K in (2, 3) for tau in (50, 250, 1000)]
 AUDIT_CALLS = 10
+HISTORY_TAUS = (1000, 4000)
+RETAINED_OBS = 4000
 
 
 def _pinned(rng, *shape):
@@ -75,26 +82,69 @@ def bench_audit(K: int, tau: int) -> dict:
     hmm = build_hmm(rng.dirichlet(np.ones(K)),
                     ModelParams.random(StateSpace(K, M), seed=K))
     obs = [int(o) for o in rng.integers(1, M + 1, size=tau)]
-    history = MfaHistory(_pinned(rng, K))
-    for _ in range(2, tau + 1):
-        augment(history, "uniform")
-        history.set_updatable(_pinned(rng, K), _pinned(rng, K))
+    history = _history(rng, K, tau)
+    return {"K": K, "tau": tau,
+            "ms_per_call": _ms_per_call(
+                lambda: elbo.elbo_recursive(hmm, history, obs))}
+
+
+def _history(rng, K: int, tau: int) -> MfaHistory:
+    """A seeded history with revisions, built from its checkpoint rows."""
+    return MfaHistory.from_dict({"horizon": tau,
+                                 "rho": _pinned(rng, 2 * tau - 1, K).tolist(),
+                                 "frozen_below": tau - 1})
+
+
+def _ms_per_call(call) -> float:
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         for _ in range(AUDIT_CALLS):
-            elbo.elbo_recursive(hmm, history, obs)
+            call()
         times.append(time.perf_counter() - t0)
-    return {"K": K, "tau": tau,
-            "ms_per_call": round(1e3 * min(times) / AUDIT_CALLS, 4)}
+    return round(1e3 * min(times) / AUDIT_CALLS, 4)
+
+
+def bench_history_calls(tau: int) -> dict:
+    """ms per to_dict and per elbo_recursive call at horizon tau, K = M = 2."""
+    rng = np.random.default_rng(tau)
+    hmm = build_hmm(rng.dirichlet(np.ones(2)),
+                    ModelParams.random(StateSpace(2, 2), seed=tau))
+    obs = [int(o) for o in rng.integers(1, 3, size=tau)]
+    history = _history(rng, 2, tau)
+    return {"tau": tau, "to_dict_ms": _ms_per_call(history.to_dict),
+            "elbo_recursive_ms": _ms_per_call(
+                lambda: elbo.elbo_recursive(hmm, history, obs))}
+
+
+def bench_history_bytes(K: int) -> dict:
+    """Bytes a history keeps per observation, by tracemalloc, after
+    RETAINED_OBS augmentations with a revision each."""
+    rows = _pinned(np.random.default_rng(K), RETAINED_OBS, 2, K)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        history = MfaHistory(rows[0, 1])
+        for rev, curr in rows[1:]:
+            augment(history, "uniform")
+            history.set_updatable(rev, curr)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return {"K": K, "obs": RETAINED_OBS,
+            "retained_bytes_per_obs": round(kept / RETAINED_OBS, 1)}
 
 
 def main() -> None:
     rows = [bench_shape(K, M) for K, M in SHAPES]
     audit = [bench_audit(K, tau) for K, tau in AUDIT_SHAPES]
+    history = {"calls": [bench_history_calls(tau) for tau in HISTORY_TAUS],
+               "retained": [bench_history_bytes(K) for K in (2, 3)]}
     print(json.dumps({"steps": STEPS, "repeats": REPEATS,
                       "audit_calls": AUDIT_CALLS, "numpy": np.__version__,
-                      "shapes": rows, "audit_objective": audit}, indent=2))
+                      "shapes": rows, "audit_objective": audit,
+                      "history": history}, indent=2))
 
 
 if __name__ == "__main__":
