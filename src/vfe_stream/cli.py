@@ -477,7 +477,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.set_defaults(seed=None, oracle=False)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--data", required=name == "fit")
+        if name in ("fit", "compare"):
+            sp.add_argument("--data", required=name == "fit")
         sp.add_argument("--out", default=".")
         if name != "compare":
             sp.add_argument("--seed", type=int)

@@ -49,7 +49,6 @@ from .model import (
     StateSpace,
     _check_values,
     log_softmax,
-    log_softmax_row,
 )
 from . import kernel
 from .kernel import fold_step, u_fresh
@@ -108,7 +107,7 @@ def base_summaries(hmm: GenerativeHMM, history: MfaHistory, o1: int) -> ElboSumm
     o_idx = int(o1) - 1
     if not 0 <= o_idx < hmm.M:
         raise ConstraintError(f"observation values must lie in 1..{hmm.M}")
-    log_pi1 = log_softmax_row(history.superseded_logits(1))
+    log_pi1 = log_softmax(history.superseded_logits(1))
     v = hmm.log_mu() + hmm.log_A[:, o_idx] - log_pi1
     # no transition precedes time 1: zero weights leave the emission rows
     u = u_fresh(hmm.A, hmm.B, np.zeros(hmm.K), o_idx)
@@ -203,7 +202,7 @@ def step_inputs(hmm: GenerativeHMM, prev: Optional[ElboSummaries],
     o_idx = int(o_t) - 1
     if history.horizon == 1:
         return hmm.log_mu() + hmm.log_A[:, o_idx], None
-    log_sup = log_softmax_row(history.superseded_logits(history.horizon - 1))
+    log_sup = log_softmax(history.superseded_logits(history.horizon - 1))
     W = prev.v + log_sup
     G = hmm.log_B + hmm.log_A[:, o_idx][None, :]
     return W, G

@@ -16,6 +16,8 @@ non-finite still ends in ConstraintError there.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -30,8 +32,21 @@ def ascent_step(x: np.ndarray, gradient: np.ndarray, step: float) -> tuple:
 
 
 def _ascend(x: np.ndarray, gradient, steps: int, step: float) -> tuple:
-    """Up to `steps` ascent steps; returns (x, applied, stalled)."""
+    """Up to `steps` ascent steps; returns (x, applied, stalled).
+
+    A step on a non-finite gradient stalls: the loop stops with x as it
+    was.  The steps run unchecked, and such a gradient would leave x
+    non-finite for good (inf or nan plus anything stays non-finite), so
+    only a non-finite end point can hide a stall.  It replays the steps
+    through ascent_step to find it: the checked loop's result, bit for bit.
+    """
+    start = x
     with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(steps):
+            x = x + step * gradient(x)
+        if np.isfinite(x).all():
+            return x, steps, False
+        x = start
         for applied in range(steps):
             x, stalled = ascent_step(x, gradient(x), step)
             if stalled:
@@ -41,26 +56,26 @@ def _ascend(x: np.ndarray, gradient, steps: int, step: float) -> tuple:
 
 # -- pinned softmax rows ------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 class _Rows:
     """Layout of consecutive rows of the given widths in one flat vector:
     the start of each row, the row index of each coordinate and a 0/1 mask
-    that is 0 at each row's pinned first coordinate.  Built once per
-    gradient function, so once per observation, not once per step."""
+    that is 0 at each row's pinned first coordinate.  Built once per shape,
+    as the cache hands every caller of that shape the same read-only one."""
 
     def __init__(self, widths: tuple):
         self.starts = np.cumsum((0,) + widths[:-1])
         self.row = np.repeat(np.arange(len(widths)), widths)
         self.free = np.ones(sum(widths))
         self.free[self.starts] = 0.0
+        for a in (self.starts, self.row, self.free):
+            a.flags.writeable = False
 
-    def rowsum(self, x: np.ndarray) -> np.ndarray:
-        """The sum of each coordinate's row."""
-        return np.add.reduceat(x, self.starts)[self.row]
 
-    def softmax(self, x: np.ndarray) -> np.ndarray:
-        """Row-wise softmax of x, shifted by each row's maximum."""
-        e = np.exp(x - np.maximum.reduceat(x, self.starts)[self.row])
-        return e / self.rowsum(e)
+def _softmax(x: np.ndarray, starts: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of x, shifted by each row's maximum."""
+    e = np.exp(x - np.maximum.reduceat(x, starts)[row])
+    return e / np.add.reduceat(e, starts)[row]
 
 
 # -- beliefs ------------------------------------------------------------------
@@ -81,6 +96,7 @@ def psi_gradient(W: np.ndarray, G, n: int, K: int):
     centring removes.
     """
     rows = _Rows((K,) * n)
+    starts, row, free = rows.starts, rows.row, rows.free
     H = np.zeros((n * K, n * K))
     if G is not None:
         H[:K, K:] = G
@@ -89,9 +105,9 @@ def psi_gradient(W: np.ndarray, G, n: int, K: int):
     w[:K] = W
 
     def gradient(x):
-        p = rows.softmax(x)
+        p = _softmax(x, starts, row)
         c = w - x + H @ p
-        return rows.free * p * (c - rows.rowsum(p * c))
+        return free * p * (c - np.add.reduceat(p * c, starts)[row])
 
     return gradient
 
@@ -126,17 +142,24 @@ def theta_gradient(ubar: np.ndarray, pa, pb: np.ndarray, o_idx: int):
     """
     K = pb.shape[0]
     M = ubar.shape[0] // K - K
-    rows = _Rows((M,) * K + (K,) * K)
-    eo = np.zeros(M)
-    eo[o_idx] = 1.0
-    pa_w = np.zeros(K * K) if pa is None else np.repeat(pa, K)
-    w = rows.free * np.concatenate([np.repeat(pb, M), pa_w])
-    t = np.concatenate([np.tile(eo, K), np.tile(pb, K)])
+    rows, target = _theta_layout(K, M)
+    starts, row = rows.starts, rows.row
+    w = rows.free * np.concatenate([pb, np.zeros(K) if pa is None else pa])[row]
+    t = np.concatenate([np.arange(M) == o_idx, pb])[target]
 
     def gradient(theta):
-        return ubar + w * (t - rows.softmax(theta))
+        return ubar + w * (t - _softmax(theta, starts, row))
 
     return gradient
+
+
+@functools.lru_cache(maxsize=64)
+def _theta_layout(K: int, M: int) -> tuple:
+    """The theta row layout and each coordinate's target as an index into
+    [onehot(o), pb]: emission rows read onehot(o), transition rows pb."""
+    target = np.r_[np.tile(np.arange(M), K), M + np.tile(np.arange(K), K)]
+    target.flags.writeable = False
+    return _Rows((M,) * K + (K,) * K), target
 
 
 def theta_ascent(theta: np.ndarray, ubar: np.ndarray, pa, pb: np.ndarray,

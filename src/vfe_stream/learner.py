@@ -5,10 +5,11 @@ two updatable belief rows, then a fixed budget on the model parameters
 (using the just-updated beliefs), then advance the carried (V, U) summaries
 and append a trace record.  Per-observation cost is constant in the horizon.
 
-The two ascent loops run in kernel on plain arrays.  This module hands them
-inputs taken from the validated state and validates what comes back once
-per observation: the belief rows through MfaHistory.set_updatable, the
-parameters through ModelParams and build_hmm.
+The two ascent loops run in kernel on plain arrays.  Values are validated
+where they enter, once: mu and the starting parameters in init_learner, and
+once per observation what the loops return, the belief rows as
+MfaHistory.set_updatable stores them and the parameters through ModelParams
+and build_hmm.  What is read back (history rows, the model) is not checked.
 
 Both mean-field families run this one path.  The reversed family's
 extension factors telescope to the product of the final per-time marginals,
@@ -157,7 +158,7 @@ def init_learner(params: ModelParams, mu, schedule: Schedule,
     if init_rule not in ("uniform", "zeros", "prediction"):
         raise ConstraintError(f"unknown init_rule {init_rule!r}")
     hmm = build_hmm(mu, params)
-    if not np.all(hmm.mu > 0.0):
+    if not (hmm.mu > 0.0).all():
         # beliefs put mass on every state: the objective would be -inf
         raise ConstraintError("the learner needs every mu entry > 0")
     state = LearnerState(mu=hmm.mu, params=params, hmm=hmm, schedule=schedule,

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import ConstraintError, GenerativeHMM, _check_values, softmax_row
+from .model import ConstraintError, GenerativeHMM, _check_values, softmax
 from .oracle import ENUMERATION_GUARD, GuardError
 
 
@@ -55,9 +55,9 @@ def _check_rows(rows, n: int, K: Optional[int] = None) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] != n or x.shape[1] == 0 \
             or K not in (None, x.shape[1]):
         raise ConstraintError(f"expected {n} logit rows of length K = {K}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ConstraintError("logit rows have non-finite entries")
-    if np.any(x[:, 0] != 0.0):
+    if (x[:, 0] != 0.0).any():
         raise ConstraintError("pinning violated: each row's first entry must be 0")
     return x
 
@@ -68,7 +68,8 @@ class MfaHistory:
     Snapshot 1 holds the starting row; snapshot t >= 2 holds the pair
     (revision of time t-1, row for time t).  Only the newest snapshot's
     rows may be replaced.  The buffer is read-only outside _write, so every
-    row an accessor returns is a read-only view.
+    row an accessor returns is a read-only view.  Rows are checked when
+    stored, so belief and superseded take their softmax unchecked.
     """
 
     def __init__(self, rho1) -> None:
@@ -118,7 +119,7 @@ class MfaHistory:
         return self._rows[min(2 * t - 1, self._n - 1)]
 
     def belief(self, t: int) -> np.ndarray:
-        return softmax_row(self.belief_logits(t))
+        return softmax(self.belief_logits(t))
 
     def superseded_logits(self, t: int) -> np.ndarray:
         """Snapshot-t row for time t, kept after a later revision replaces
@@ -128,7 +129,7 @@ class MfaHistory:
         return self._rows[2 * t - 2]
 
     def superseded(self, t: int) -> np.ndarray:
-        return softmax_row(self.superseded_logits(t))
+        return softmax(self.superseded_logits(t))
 
     def updatable_logits(self) -> np.ndarray:
         """The newest snapshot's (n, K) rows: (revision, current), or the

@@ -38,8 +38,13 @@ def softmax_row(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
     if z.ndim != 1 or z.size == 0:
         raise ConstraintError("logits must form a non-empty 1-d row")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ConstraintError("non-finite logits")
+    return softmax(z)
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """softmax_row without validation, for a row known to be finite."""
     w = np.exp(z - z.max())
     return w / w.sum()
 
@@ -56,7 +61,7 @@ def log_softmax_row(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
     if z.ndim != 1 or z.size == 0:
         raise ConstraintError("logits must form a non-empty 1-d row")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ConstraintError("non-finite logits")
     return log_softmax(z)
 
@@ -75,11 +80,11 @@ class StateSpace:
 
 
 def _check_pinned(rows: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(rows)):
+    if not np.isfinite(rows).all():
         raise ConstraintError(f"{name} contains non-finite entries")
     if rows.shape[1] < 1:
         raise ConstraintError(f"{name} rows must be non-empty")
-    if np.any(rows[:, 0] != 0.0):
+    if (rows[:, 0] != 0.0).any():
         raise ConstraintError(
             f"{name} first-entry pinning violated: each row must have its "
             "first logit exactly 0 (rows are not re-pinned silently)"
@@ -199,7 +204,7 @@ def build_hmm(mu, params: ModelParams) -> GenerativeHMM:
     mu = _frozen(mu)
     if mu.ndim != 1 or mu.shape[0] != params.K:
         raise ConstraintError("mu must be a length-K vector")
-    if not np.all(np.isfinite(mu)) or np.any(mu < 0.0):
+    if not np.isfinite(mu).all() or (mu < 0.0).any():
         raise ConstraintError("mu entries must be finite and >= 0")
     if abs(mu.sum() - 1.0) > 1e-12:
         raise ConstraintError("mu must sum to 1 within 1e-12")

@@ -529,12 +529,15 @@ def test_seed_out_of_range_exits_2(tmp_path, capsys, command, fields, flags):
     assert sorted(os.listdir(tmp_path)) == before
 
 
-# --seed belongs to generate, fit and gradcheck, --oracle to fit alone
+# --seed belongs to generate, fit and gradcheck, --oracle to fit alone and
+# --data to fit and compare; a --data path that does not exist must not pass
 _STRAY_FLAGS = {
     "compare-seed": ("compare", ["--seed", "7"]),
     "compare-oracle": ("compare", ["--oracle"]),
     "generate-oracle": ("generate", ["--oracle"]),
     "gradcheck-oracle": ("gradcheck", ["--oracle"]),
+    "generate-data": ("generate", ["--data", "/nonexistent/data.jsonl"]),
+    "gradcheck-data": ("gradcheck", ["--data", "/nonexistent/data.jsonl"]),
 }
 
 

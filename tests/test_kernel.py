@@ -153,8 +153,9 @@ def test_kernel_matches_validated_reference(K, M, family, budgets):
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
                                                             budgets):
-    # each observation costs one gradient per ascent step, one fold step and
-    # at most one model rebuild, whatever tau is; nothing refolds the stream
+    # each observation costs one gradient evaluation per ascent step, one
+    # fold step and at most one model rebuild, whatever tau is; nothing
+    # refolds the stream, and without a stall no step is replayed
     M = 3
     truth = random_hmm(K, M, seed=K)
     sched = Schedule(psi_updates_per_obs=budgets[0],
@@ -172,9 +173,23 @@ def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
+    def counted_gradient(name):
+        make = getattr(kernel, name)
+
+        def wrapper(*args):
+            gradient = make(*args)
+
+            def counting(x):
+                calls[name] += 1
+                return gradient(x)
+            return counting
+        monkeypatch.setattr(kernel, name, wrapper)
+
     def refused(*args, **kwargs):
         raise AssertionError("the stream was refolded")
 
+    counted_gradient("psi_gradient")
+    counted_gradient("theta_gradient")
     counted(kernel, "ascent_step")
     counted(elbo_mod, "fold_step")
     counted(learner, "build_hmm")
@@ -185,7 +200,8 @@ def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
         rec = ingest(state, o)
         assert rec.stalls == 0
         assert (rec.psi_updates, rec.theta_updates) == budgets
-        assert calls["ascent_step"] == sum(budgets)
+        assert (calls["psi_gradient"], calls["theta_gradient"]) == budgets
+        assert calls["ascent_step"] == 0
         assert calls["fold_step"] == (rec.tau > 1)
         assert calls["build_hmm"] == (budgets[1] > 0)
 
@@ -245,6 +261,76 @@ def test_nan_in_carried_gradient_stalls_and_keeps_parameters():
     assert rec.theta_updates == 0
     assert rec.psi_updates == 5
     assert state.params is params and state.hmm is hmm
+
+
+def _checked_ascent(x, gradient, steps, step):
+    """The loop with a check at every step: ascent_step on each gradient."""
+    for applied in range(steps):
+        x, stalled = ascent_step(x, gradient(x), step)
+        if stalled:
+            return x, applied, True
+    return x, steps, False
+
+
+def _poisoned(gradient, at, bad):
+    """gradient with one entry set to bad at the point at, and nowhere else:
+    a function of x alone, as the loops' gradients are."""
+    def poisoned(x):
+        g = gradient(x)
+        if np.array_equal(x, at):
+            g = g.copy()
+            g[-1] = bad
+        return g
+    return poisoned
+
+
+def _ascent_cases():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(2, 3))
+    x[:, 0] = 0.0
+    W, G = rng.normal(size=3), np.log(rng.dirichlet(np.ones(3), size=3))
+    theta = rng.normal(size=3 * 2 + 3 * 3)
+    theta[::2][:3] = 0.0  # the emission rows' pinned entries (M = 2)
+    theta[6::3] = 0.0     # the transition rows' pinned entries
+    ubar = 0.1 * rng.normal(size=theta.shape)
+    pa, pb = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
+    return {
+        "psi": ("psi_gradient", (W, G, 2, 3), x.ravel(), 0.3,
+                lambda steps, step: kernel.psi_ascent(x, W, G, steps, step)),
+        "theta": ("theta_gradient", (ubar, pa, pb, 1), theta, 0.05,
+                  lambda steps, step: kernel.theta_ascent(theta, ubar, pa, pb,
+                                                          1, steps, step)),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("k", [0, 4, 8])
+@pytest.mark.parametrize("loop", ["psi", "theta"])
+def test_stall_at_step_k_matches_the_checked_loop(monkeypatch, loop, k, bad):
+    # the loop checks only its end point; a stall must still stop it at the
+    # point before step k, bit for bit as a check at every step would
+    steps = 9
+    name, args, x0, step, ascend = _ascent_cases()[loop]
+    real = getattr(kernel, name)
+    at, _, _ = _checked_ascent(x0, real(*args), k, step)
+    gradient = _poisoned(real(*args), at, bad)
+    want = _checked_ascent(x0, gradient, steps, step)
+    assert want[1:] == (k, True)
+    monkeypatch.setattr(kernel, name, lambda *a: _poisoned(real(*a), at, bad))
+    got = ascend(steps, step)
+    assert got[1:] == want[1:]
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[0].size == x0.size and np.isfinite(got[0]).all()
+
+
+def test_cached_layouts_are_shared_and_read_only():
+    rows = kernel._Rows((3, 3))
+    assert kernel._Rows((3, 3)) is rows
+    theta_rows, target = kernel._theta_layout(3, 2)
+    assert kernel._theta_layout(3, 2)[0] is theta_rows
+    for a in (rows.starts, rows.row, rows.free, theta_rows.free, target):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
 
 
 # near-deterministic rows give log-probability gaps of about 60, so the first

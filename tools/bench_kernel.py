@@ -7,9 +7,14 @@ in AUDIT_SHAPES, the milliseconds per elbo.elbo_recursive call on a seeded
 history with revisions.  The history group gives the milliseconds per
 MfaHistory.to_dict and per elbo_recursive call at each tau in
 HISTORY_TAUS, and the bytes a history keeps per observation (tracemalloc)
-at K = 2 and 3.  Each timing is the fastest of REPEATS timed runs (a
-STEPS-step loop, or AUDIT_CALLS calls), divided by the step or call count:
-the minimum is the timing least disturbed by other load on a shared host.
+at K = 2 and 3.  The ingest group gives the microseconds per
+learner.ingest on a seeded bench-k2 learner, warmed by INGEST_WARM
+observations, at each (psi, theta) step budget in INGEST_BUDGETS: at
+(0, 0) it is the fixed cost every observation pays before any ascent step.
+Each timing is the fastest of REPEATS timed runs (a STEPS-step loop,
+AUDIT_CALLS calls or INGEST_CALLS ingests), divided by the step or call
+count: the minimum is the timing least disturbed by other load on a shared
+host.
 The inputs are seeded and the same for every checkout, so two checkouts
 can be compared by running the script against each source tree:
 
@@ -21,16 +26,21 @@ Needs only the standard library and numpy.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
+import os
 import time
 import tracemalloc
 
 import numpy as np
 
 from vfe_stream import elbo, kernel
+from vfe_stream.cli import load_config
+from vfe_stream.learner import ingest, init_learner
 from vfe_stream.mfa import MfaHistory, augment
-from vfe_stream.model import ModelParams, StateSpace, build_hmm
+from vfe_stream.model import (ModelParams, StateSpace, build_hmm,
+                              sample_trajectory)
 
 SHAPES = [(1, 2), (2, 2), (3, 3), (4, 4), (6, 6), (8, 8), (12, 12), (4, 2)]
 STEPS = 200
@@ -39,6 +49,11 @@ AUDIT_SHAPES = [(K, tau) for K in (2, 3) for tau in (50, 250, 1000)]
 AUDIT_CALLS = 10
 HISTORY_TAUS = (1000, 4000)
 RETAINED_OBS = 4000
+BENCH_K2 = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs", "bench-k2.json")
+INGEST_BUDGETS = [(0, 0), (5, 0), (0, 1), (80, 50)]
+INGEST_WARM = 200
+INGEST_CALLS = 20
 
 
 def _pinned(rng, *shape):
@@ -136,15 +151,41 @@ def bench_history_bytes(K: int) -> dict:
             "retained_bytes_per_obs": round(kept / RETAINED_OBS, 1)}
 
 
+def bench_ingest(psi: int, theta: int) -> dict:
+    """us per ingest at a (psi, theta) step budget on a warmed bench-k2
+    learner; every timed batch continues the same stream."""
+    cfg = load_config(BENCH_K2)
+    sched = dataclasses.replace(cfg.schedule, psi_updates_per_obs=psi,
+                                theta_updates_per_obs=theta)
+    obs = sample_trajectory(cfg.hmm, INGEST_WARM + REPEATS * INGEST_CALLS,
+                            seed=cfg.seed).observations
+    state = init_learner(ModelParams.random(StateSpace(cfg.hmm.K, cfg.hmm.M),
+                                            seed=cfg.init_seed),
+                         cfg.hmm.mu, sched)
+    for o in obs[:INGEST_WARM]:
+        ingest(state, o)
+    times = []
+    for r in range(REPEATS):
+        batch = obs[INGEST_WARM + r * INGEST_CALLS:][:INGEST_CALLS]
+        t0 = time.perf_counter()
+        for o in batch:
+            ingest(state, o)
+        times.append(time.perf_counter() - t0)
+    return {"psi_updates_per_obs": psi, "theta_updates_per_obs": theta,
+            "us_per_ingest": round(1e6 * min(times) / INGEST_CALLS, 1)}
+
+
 def main() -> None:
     rows = [bench_shape(K, M) for K, M in SHAPES]
     audit = [bench_audit(K, tau) for K, tau in AUDIT_SHAPES]
     history = {"calls": [bench_history_calls(tau) for tau in HISTORY_TAUS],
                "retained": [bench_history_bytes(K) for K in (2, 3)]}
+    ingests = [bench_ingest(*budget) for budget in INGEST_BUDGETS]
     print(json.dumps({"steps": STEPS, "repeats": REPEATS,
-                      "audit_calls": AUDIT_CALLS, "numpy": np.__version__,
+                      "audit_calls": AUDIT_CALLS, "ingest_calls": INGEST_CALLS,
+                      "numpy": np.__version__,
                       "shapes": rows, "audit_objective": audit,
-                      "history": history}, indent=2))
+                      "history": history, "ingest": ingests}, indent=2))
 
 
 if __name__ == "__main__":
