@@ -19,18 +19,25 @@ first marginal's own log term has nowhere else to live (dropping it shifts
 the total by exactly E_q[ln pi_1]).  This is verified against brute-force
 summation in the tests.
 
-The parameter gradient folds the same way through a K x dim(theta) matrix U
-whose carried part is averaged at the summed-over previous state, mirroring
-V.
+The parameter gradient is carried as one vector g in the kernel's flat theta
+layout: g_t is the theta gradient of every term before time t, each at the
+parameters it was folded in with and at its final beliefs.  Time t's terms
+depend on the beliefs of t - 1 and t only, so g_1 = 0 and
 
-Cost per fold step is O(K^2 * dim(theta)), independent of tau, which is the
-whole point: the learner carries (V, U) across observations instead of
+    g_{t+1} = kernel.theta_gradient(g_t, pi_{t-1}, pi_t, o_t)(theta).
+
+g_{t+1} needs pi_t final, so the learner advances g in the ingest of t + 1,
+after its psi phase and before its theta phase, which steps along
+theta_gradient(g_tau, pi_{tau-1}, pi_tau, o_tau).
+
+Cost per fold step is O(K^2 + dim(theta)), independent of tau, which is the
+whole point: the learner carries (V, g) across observations instead of
 recomputing the fold.  The fold step's arithmetic lives in kernel.fold_step;
 the functions here check the horizon and the observation around it, and
 recompute everything from scratch as the audit path.  They read the
 history as its array of rows (MfaHistory.rows, the checkpoint's layout):
 elbo_recursive takes the snapshot rows and the revision rows as two
-strided arrays and sums V's per-time terms in one pass, with no U.
+strided arrays and sums V's per-time terms in one pass, with no g.
 grad_psi and grad_theta evaluate the kernel's gradients, the ones the
 learner ascends, at inputs refolded exactly from the history.
 """
@@ -51,7 +58,7 @@ from .model import (
     log_softmax,
 )
 from . import kernel
-from .kernel import fold_step, u_fresh
+from .kernel import fold_step
 from .mfa import MfaHistory
 
 
@@ -74,6 +81,12 @@ def params_free_vector(params: ModelParams) -> np.ndarray:
                            params.beta_tilde[:, 1:].ravel()])
 
 
+def params_vector(params: ModelParams) -> np.ndarray:
+    """The kernel's flat theta: [alpha_tilde.ravel(), beta_tilde.ravel()]."""
+    return np.concatenate([params.alpha_tilde.ravel(),
+                           params.beta_tilde.ravel()])
+
+
 def params_from_free(space: StateSpace, vec: np.ndarray) -> ModelParams:
     K, M = space.K, space.M
     vec = np.asarray(vec, dtype=float)
@@ -93,12 +106,12 @@ def params_from_free(space: StateSpace, vec: np.ndarray) -> ModelParams:
 
 @dataclass(frozen=True)
 class ElboSummaries:
-    """The (V, U) pair at time t, carried between time steps by the
-    streaming learner: the K-vector V and K rows U of dense theta
-    gradients."""
+    """The summaries at time t, carried between time steps by the streaming
+    learner: the K-vector V and g, the flat theta gradient of every term
+    before time t (zero at t = 1)."""
 
     v: np.ndarray
-    u: np.ndarray  # (K, K*M + K*K)
+    g: np.ndarray  # (K*M + K*K,)
     t: int
 
 
@@ -109,14 +122,22 @@ def base_summaries(hmm: GenerativeHMM, history: MfaHistory, o1: int) -> ElboSumm
         raise ConstraintError(f"observation values must lie in 1..{hmm.M}")
     log_pi1 = log_softmax(history.superseded_logits(1))
     v = hmm.log_mu() + hmm.log_A[:, o_idx] - log_pi1
-    # no transition precedes time 1: zero weights leave the emission rows
-    u = u_fresh(hmm.A, hmm.B, np.zeros(hmm.K), o_idx)
-    return ElboSummaries(v=v, u=u, t=1)
+    return ElboSummaries(v=v, g=np.zeros(hmm.K * hmm.M + hmm.K * hmm.K), t=1)
+
+
+def carried_gradient(prev: ElboSummaries, history: MfaHistory,
+                     theta: np.ndarray, o_prev: int) -> np.ndarray:
+    """g at time prev.t + 1: prev.g plus the gradient of time prev.t's
+    terms at the flat theta, given that time's observation value o_prev
+    (1-based).  The beliefs of prev.t - 1 and prev.t must be final."""
+    return kernel.theta_gradient(*theta_inputs(history, prev.t, prev.g),
+                                 int(o_prev) - 1)(theta)
 
 
 def step_summaries(prev: ElboSummaries, hmm: GenerativeHMM, history: MfaHistory,
-                   t: int, o_t: int) -> ElboSummaries:
-    """One fold step: advance (V, U) from time t-1 to time t."""
+                   t: int, o_t: int, g: np.ndarray) -> ElboSummaries:
+    """One fold step: advance V from time t-1 to time t, and take g, the
+    carried gradient at time t."""
     if prev.t != t - 1:
         raise ConstraintError(f"summaries are at t = {prev.t}, expected {t - 1}")
     o_idx = int(o_t) - 1
@@ -125,13 +146,13 @@ def step_summaries(prev: ElboSummaries, hmm: GenerativeHMM, history: MfaHistory,
     # the log revision and current marginals and the superseded one of t-1;
     # history rows are validated when they are stored
     rows = log_softmax(history.rows[[2 * t - 3, 2 * t - 2, 2 * t - 4]])
-    v, u = fold_step(prev.v, prev.u, *rows, hmm.A, hmm.B, hmm.log_A,
-                     hmm.log_B, o_idx)
-    return ElboSummaries(v=v, u=u, t=t)
+    v = fold_step(prev.v, *rows, hmm.log_A, hmm.log_B, o_idx)
+    return ElboSummaries(v=v, g=g, t=t)
 
 
 def streaming_update_summaries(prev: ElboSummaries, observation: int,
-                               hmm: GenerativeHMM, history: MfaHistory) -> ElboSummaries:
+                               hmm: GenerativeHMM, history: MfaHistory,
+                               g: np.ndarray) -> ElboSummaries:
     """Advance carried summaries to the history's current horizon.
 
     The history must already hold the (final) snapshot for the new time
@@ -139,7 +160,7 @@ def streaming_update_summaries(prev: ElboSummaries, observation: int,
     as theta and the frozen blocks are unchanged, because it is the same
     step function applied once.
     """
-    return step_summaries(prev, hmm, history, history.horizon, observation)
+    return step_summaries(prev, hmm, history, history.horizon, observation, g)
 
 
 def finish(summaries: ElboSummaries, history: MfaHistory) -> float:
@@ -161,10 +182,12 @@ def _checked_observations(hmm: GenerativeHMM, history: MfaHistory,
 def scratch_summaries(hmm: GenerativeHMM, history: MfaHistory,
                       observations: Sequence[int]) -> ElboSummaries:
     """Recompute the whole fold from t = 1 at the current parameters."""
-    o = _checked_observations(hmm, history, observations)
-    s = base_summaries(hmm, history, int(o[0]) + 1)
+    o = _checked_observations(hmm, history, observations) + 1
+    theta = params_vector(hmm.params)
+    s = base_summaries(hmm, history, int(o[0]))
     for t in range(2, history.horizon + 1):
-        s = step_summaries(s, hmm, history, t, int(o[t - 1]) + 1)
+        g = carried_gradient(s, history, theta, int(o[t - 2]))
+        s = step_summaries(s, hmm, history, t, int(o[t - 1]), g)
     return s
 
 
@@ -208,40 +231,21 @@ def step_inputs(hmm: GenerativeHMM, prev: Optional[ElboSummaries],
     return W, G
 
 
-def theta_inputs(history: MfaHistory, prev: Optional[ElboSummaries], K: int,
-                 M: int) -> tuple:
-    """(ubar, pa, pb) for kernel.theta_gradient at the current horizon: the
-    U rows of prev, the summaries at tau - 1, contracted against the
-    revision marginal pa; pb is the newest marginal.  At horizon 1 (prev
-    None) ubar is zero and pa is None."""
-    pb = history.belief(history.horizon)
-    if history.horizon == 1:
-        return np.zeros(K * M + K * K), None, pb
-    pa = history.belief(history.horizon - 1)
-    return pa @ prev.u, pa, pb
-
-
-def _audit_inputs(hmm: GenerativeHMM, history: MfaHistory,
-                  observations: Sequence[int]) -> tuple:
-    """(0-based observations, the exact summaries at tau - 1 or None at
-    horizon 1)."""
-    o = _checked_observations(hmm, history, observations)
-    if history.horizon == 1:
-        return o, None
-    return o, scratch_summaries(hmm, history.prefix(), o[:-1] + 1)
+def theta_inputs(history: MfaHistory, t: int, g: np.ndarray) -> tuple:
+    """(g, pa, pb) for kernel.theta_gradient at time t: g carried to t and
+    the beliefs of times t - 1 (None at t = 1) and t."""
+    return g, history.belief(t - 1) if t > 1 else None, history.belief(t)
 
 
 def grad_theta(hmm: GenerativeHMM, history: MfaHistory,
                observations: Sequence[int]) -> ThetaGrad:
     """Exact parameter gradient of elbo_recursive at the current theta:
-    kernel.theta_gradient at inputs recomputed from scratch."""
-    o, prev = _audit_inputs(hmm, history, observations)
-    K, M = hmm.K, hmm.M
-    gradient = kernel.theta_gradient(*theta_inputs(history, prev, K, M),
-                                     int(o[-1]))
-    dense = gradient(np.concatenate([hmm.params.alpha_tilde.ravel(),
-                                     hmm.params.beta_tilde.ravel()]))
-    return ThetaGrad(*kernel.theta_rows(dense, K, M))
+    kernel.theta_gradient at the g of scratch_summaries."""
+    s = scratch_summaries(hmm, history, observations)
+    gradient = kernel.theta_gradient(*theta_inputs(history, s.t, s.g),
+                                     int(observations[-1]) - 1)
+    dense = gradient(params_vector(hmm.params))
+    return ThetaGrad(*kernel.theta_rows(dense, hmm.K, hmm.M))
 
 
 def grad_psi(hmm: GenerativeHMM, history: MfaHistory,
@@ -254,9 +258,11 @@ def grad_psi(hmm: GenerativeHMM, history: MfaHistory,
     only the final fold step differentiates, through kernel.psi_gradient;
     frozen-row coordinates are not emitted at all.
     """
-    o, prev = _audit_inputs(hmm, history, observations)
+    o = _checked_observations(hmm, history, observations)
+    prev = None
+    if history.horizon > 1:
+        prev = scratch_summaries(hmm, history.prefix(), o[:-1] + 1)
     x = history.updatable_logits()
     W, G = step_inputs(hmm, prev, history, int(o[-1]) + 1)
     g = kernel.psi_gradient(W, G, *x.shape)(x.ravel())
     return g.reshape(x.shape)[:, 1:].ravel()
-

@@ -3,10 +3,11 @@
 The belief (psi) ascent and the parameter (theta) ascent are one operation:
 gradient steps on a flat vector of pinned softmax rows (each row's first
 logit stays 0), with all rows' softmax taken in one segmented pass.  psi
-stacks the updatable belief blocks; theta is laid out like the rows of U,
+stacks the updatable belief blocks; theta is laid out as
 [alpha_tilde.ravel(), beta_tilde.ravel()].  The loops step along
 psi_gradient and theta_gradient, which elbo's gradient audit evaluates
-too.  The (V, U) fold step is here as well.
+too, and theta_gradient also carries the learner's summed theta gradient
+from one time step to the next.  The V fold step is here as well.
 
 Nothing in this module validates.  Callers take the inputs from values that
 are already validated (the learner state, the belief history, the model)
@@ -129,26 +130,26 @@ def theta_rows(theta: np.ndarray, K: int, M: int) -> tuple:
     return theta[: K * M].reshape(K, M), theta[K * M:].reshape(K, K)
 
 
-def theta_gradient(ubar: np.ndarray, pa, pb: np.ndarray, o_idx: int):
+def theta_gradient(g: np.ndarray, pa, pb: np.ndarray, o_idx: int):
     """The gradient of the streaming objective over the flat parameter
     vector.
 
-    It is the carried part ubar (the U rows contracted against the
-    revision marginal pa, fixed within one observation) plus the fresh
-    final-step part, which tracks the moving parameters: pb (onehot(o) - A)
-    per emission row and pa (pb - B) per transition row.  pa is None at
-    horizon 1, where no transition has been observed yet.  The fresh part
-    is w (t - p), with weights w (0 when pinned) and targets t fixed here.
+    It is the carried part g (the gradient of every earlier time step's
+    terms, fixed within one observation) plus the fresh final-step part,
+    which tracks the moving parameters: pb (onehot(o) - A) per emission row
+    and pa (pb - B) per transition row.  pa is None at horizon 1, where no
+    transition has been observed yet.  The fresh part is w (t - p), with
+    weights w (0 when pinned) and targets t fixed here.
     """
     K = pb.shape[0]
-    M = ubar.shape[0] // K - K
+    M = g.shape[0] // K - K
     rows, target = _theta_layout(K, M)
     starts, row = rows.starts, rows.row
     w = rows.free * np.concatenate([pb, np.zeros(K) if pa is None else pa])[row]
     t = np.concatenate([np.arange(M) == o_idx, pb])[target]
 
     def gradient(theta):
-        return ubar + w * (t - _softmax(theta, starts, row))
+        return g + w * (t - _softmax(theta, starts, row))
 
     return gradient
 
@@ -162,41 +163,19 @@ def _theta_layout(K: int, M: int) -> tuple:
     return _Rows((M,) * K + (K,) * K), target
 
 
-def theta_ascent(theta: np.ndarray, ubar: np.ndarray, pa, pb: np.ndarray,
+def theta_ascent(theta: np.ndarray, g: np.ndarray, pa, pb: np.ndarray,
                  o_idx: int, steps: int, step: float) -> tuple:
     """Ascent along theta_gradient, returning (theta, applied, stalled)."""
-    return _ascend(theta, theta_gradient(ubar, pa, pb, o_idx), steps, step)
+    return _ascend(theta, theta_gradient(g, pa, pb, o_idx), steps, step)
 
 
-# -- the (V, U) fold ----------------------------------------------------------
+# -- the V fold ---------------------------------------------------------------
 
-def u_fresh(A: np.ndarray, B: np.ndarray, w: np.ndarray, o_idx: int) -> np.ndarray:
-    """Dense fresh-step gradient rows, one per terminal state l.
-
-    Emission part: row l of dalpha gets onehot(o) - A[l].  Transition part:
-    row k of dbeta gets w(k) (onehot(l) - B[k]).  Pinned columns zeroed:
-    that is the free-coordinate projection, by exclusion not subtraction.
-    """
-    K, M = A.shape
-    fa = np.zeros((K, K, M))
-    eo = np.zeros(M)
-    eo[o_idx] = 1.0
-    idx = np.arange(K)
-    fa[idx, idx, :] = eo[None, :] - A
-    fb = w[None, :, None] * (np.eye(K)[:, None, :] - B[None, :, :])
-    fa[:, :, 0] = 0.0
-    fb[:, :, 0] = 0.0
-    return np.concatenate([fa.reshape(K, -1), fb.reshape(K, -1)], axis=1)
-
-
-def fold_step(v: np.ndarray, u: np.ndarray, log_w: np.ndarray,
-              log_curr: np.ndarray, log_sup: np.ndarray, A: np.ndarray,
-              B: np.ndarray, log_A: np.ndarray, log_B: np.ndarray,
-              o_idx: int) -> tuple:
-    """Advance (V, U) by one time step given the step's log revision,
-    current and superseded marginals."""
+def fold_step(v: np.ndarray, log_w: np.ndarray, log_curr: np.ndarray,
+              log_sup: np.ndarray, log_A: np.ndarray, log_B: np.ndarray,
+              o_idx: int) -> np.ndarray:
+    """Advance V by one time step given the step's log revision, current
+    and superseded marginals."""
     w = np.exp(log_w)
     base = float(w @ (v + log_sup - log_w))
-    v = base + w @ log_B + log_A[:, o_idx] - log_curr
-    u = (w @ u)[None, :] + u_fresh(A, B, w, o_idx)
-    return v, u
+    return base + w @ log_B + log_A[:, o_idx] - log_curr

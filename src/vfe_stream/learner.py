@@ -1,9 +1,9 @@
 """Streaming coordinate-ascent learner.
 
 Per observation: grow the horizon, run a fixed budget of ascent steps on the
-two updatable belief rows, then a fixed budget on the model parameters
-(using the just-updated beliefs), then advance the carried (V, U) summaries
-and append a trace record.  Per-observation cost is constant in the horizon.
+two updatable belief rows, carry the theta gradient g one step on, run a
+fixed budget on the model parameters (using the just-updated beliefs), then
+fold V and append a trace record.  Per-observation cost is constant in tau.
 
 The two ascent loops run in kernel on plain arrays.  Values are validated
 where they enter, once: mu and the starting parameters in init_learner, and
@@ -188,21 +188,19 @@ def _psi_phase(state: LearnerState, o: int) -> int:
     return applied
 
 
-def _theta_phase(state: LearnerState, o: int) -> int:
-    """Ascent on the parameters using the just-updated beliefs; the carried
-    gradient rows are contracted once, the fresh final-step part tracks the
+def _theta_phase(state: LearnerState, o: int, theta: np.ndarray,
+                 g: np.ndarray) -> int:
+    """Ascent on the flat parameters theta using the just-updated beliefs;
+    the carried gradient g is fixed, the fresh final-step part tracks the
     moving parameters.  The parameters are validated and the model rebuilt
     once, when the loop exits."""
     sched = state.schedule
     if sched.theta_updates_per_obs == 0:
         return 0
     K, M = state.hmm.K, state.hmm.M
-    ubar, pa, pb = elbo_mod.theta_inputs(state.history, state.summaries, K, M)
-    theta = np.concatenate([state.params.alpha_tilde.ravel(),
-                            state.params.beta_tilde.ravel()])
     theta, applied, stalled = kernel.theta_ascent(
-        theta, ubar, pa, pb, o - 1, sched.theta_updates_per_obs,
-        sched.theta_step / state.tau)
+        theta, *elbo_mod.theta_inputs(state.history, state.tau, g), o - 1,
+        sched.theta_updates_per_obs, sched.theta_step / state.tau)
     state.stalls_total += stalled
     if applied:
         state.params = ModelParams(*kernel.theta_rows(theta, K, M))
@@ -232,12 +230,19 @@ def ingest(state: LearnerState, observation: int) -> TraceRecord:
         else:
             augment(state.history, state.init_rule, state.hmm)
         psi_applied = _psi_phase(state, o)
-        theta_applied = _theta_phase(state, o)
+        theta = elbo_mod.params_vector(state.params)
+        if state.tau == 1:
+            g = np.zeros_like(theta)
+        else:
+            # at theta_{tau-1}, with the belief of tau - 1 now final
+            g = elbo_mod.carried_gradient(state.summaries, state.history,
+                                          theta, state.observations[-2])
+        theta_applied = _theta_phase(state, o, theta, g)
         if state.tau == 1:
             state.summaries = elbo_mod.base_summaries(state.hmm, state.history, o)
         else:
             state.summaries = elbo_mod.streaming_update_summaries(
-                state.summaries, o, state.hmm, state.history)
+                state.summaries, o, state.hmm, state.history, g)
 
         log_evidence = gap = filter_l1 = None
         elbo_value = elbo_mod.finish(state.summaries, state.history)

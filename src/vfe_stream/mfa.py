@@ -27,7 +27,6 @@ one distribution at the final beliefs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -203,16 +202,6 @@ class MfaHistory:
         hist = MfaHistory(rows[0])
         hist._write(1, rows[1:])
         return hist
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
-
-    @staticmethod
-    def load(path) -> "MfaHistory":
-        with open(path, "r", encoding="utf-8") as fh:
-            return MfaHistory.from_dict(json.load(fh))
 
 
 # -- augmentation -------------------------------------------------------------

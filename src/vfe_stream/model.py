@@ -122,11 +122,6 @@ class ModelParams:
     def M(self) -> int:
         return self.alpha_tilde.shape[1]
 
-    @property
-    def free_dim(self) -> int:
-        # one pinned coordinate per row
-        return self.K * (self.M - 1) + self.K * (self.K - 1)
-
     @staticmethod
     def random(space: StateSpace, seed: int, scale: float = 0.5) -> "ModelParams":
         """Seeded uniform logits in [-scale, scale] with pinning applied by
@@ -337,13 +332,3 @@ def hmm_from_config(doc: dict) -> GenerativeHMM:
     else:
         mu = np.full(space.K, 1.0 / space.K)
     return build_hmm(mu, params)
-
-
-def hmm_to_config(hmm: GenerativeHMM) -> dict:
-    return {
-        "K": hmm.K,
-        "M": hmm.M,
-        "mu": [float(x) for x in hmm.mu],
-        "alpha_tilde": [[float(x) for x in row] for row in hmm.params.alpha_tilde],
-        "beta_tilde": [[float(x) for x in row] for row in hmm.params.beta_tilde],
-    }

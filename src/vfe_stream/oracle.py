@@ -233,8 +233,3 @@ def max_grad_error(analytic, numeric, rel: float = 1e-5, floor: float = 1e-8) ->
         return 0.0
     scale = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor / rel)
     return float(np.max(np.abs(a - n) / (rel * scale)))
-
-
-def gradients_match(analytic, numeric, rel: float = 1e-5, floor: float = 1e-8) -> bool:
-    """The tolerance policy shared by tests and gradcheck."""
-    return max_grad_error(analytic, numeric, rel, floor) <= 1.0

@@ -58,3 +58,37 @@ def block_psi_gradient_first(W, rho1) -> np.ndarray:
     g = p * (c - float(p @ c))
     g[0] = 0.0
     return g
+
+
+# -- dense theta-gradient fold ------------------------------------------------
+# The carried theta gradient as a K x (K*M + K*K) matrix U with one row per
+# terminal state, folded as w @ U plus dense fresh rows.  The learner
+# carries one vector instead, g_tau = pi_{tau-1} @ U_{tau-1}; tests use this
+# fold as an independent reference for it.
+
+def dense_u_fresh(A, B, w, o_idx: int) -> np.ndarray:
+    """Fresh-step gradient rows, one per terminal state l.
+
+    Emission part: row l of dalpha gets onehot(o) - A[l].  Transition part:
+    row k of dbeta gets w(k) (onehot(l) - B[k]).  Pinned columns zeroed:
+    that is the free-coordinate projection, by exclusion not subtraction.
+    """
+    K, M = A.shape
+    fa = np.zeros((K, K, M))
+    eo = np.zeros(M)
+    eo[o_idx] = 1.0
+    idx = np.arange(K)
+    fa[idx, idx, :] = eo[None, :] - A
+    fb = w[None, :, None] * (np.eye(K)[:, None, :] - B[None, :, :])
+    fa[:, :, 0] = 0.0
+    fb[:, :, 0] = 0.0
+    return np.concatenate([fa.reshape(K, -1), fb.reshape(K, -1)], axis=1)
+
+
+def dense_u_step(u, w, A, B, o_idx: int) -> np.ndarray:
+    """U one time step on, given that step's revision marginal w: every row
+    takes the w-average of the old rows, plus the fresh rows.  u None is
+    time 1, where no transition precedes (zero weights)."""
+    if u is None:
+        return dense_u_fresh(A, B, np.zeros(A.shape[0]), o_idx)
+    return (w @ u)[None, :] + dense_u_fresh(A, B, w, o_idx)

@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     block_psi_gradient,
     block_psi_gradient_first,
+    dense_u_step,
     near_identity_params,
     random_hmm,
     random_obs,
@@ -32,7 +33,9 @@ class Reference:
     """One stream through the per-iteration validated path: every belief
     gradient in the block form of tests/helpers.py, every ascent step
     through ascent_step, every parameter step through ModelParams and
-    build_hmm, every fold step through streaming_update_summaries."""
+    build_hmm, every fold step through streaming_update_summaries, and the
+    theta gradient carried as the dense matrix U of tests/helpers.py: the
+    theta phase at tau reads g = pi_{tau-1} @ U_{tau-1}."""
 
     def __init__(self, params, mu, schedule):
         self.params = params
@@ -41,6 +44,7 @@ class Reference:
         self.sched = schedule
         self.hist = None
         self.summaries = None
+        self.u = None
         self.obs = []
         self.stalls = 0
 
@@ -53,12 +57,16 @@ class Reference:
         else:
             augment(self.hist, "prediction", self.hmm)
         psi = self.psi_phase(o, tau)
-        theta = self.theta_phase(o, tau)
+        K, M = self.hmm.K, self.hmm.M
+        pa = self.hist.belief(tau - 1) if tau > 1 else None
+        g = pa @ self.u if tau > 1 else np.zeros(K * M + K * K)
+        theta = self.theta_phase(o, tau, g)
+        self.u = dense_u_step(self.u, pa, self.hmm.A, self.hmm.B, o - 1)
         if tau == 1:
             self.summaries = elbo_mod.base_summaries(self.hmm, self.hist, o)
         else:
             self.summaries = elbo_mod.streaming_update_summaries(
-                self.summaries, o, self.hmm, self.hist)
+                self.summaries, o, self.hmm, self.hist, g)
         elbo = elbo_mod.finish(self.summaries, self.hist)
         return elbo, psi, theta
 
@@ -90,12 +98,11 @@ class Reference:
         hist.set_updatable(x.reshape(2, K))
         return applied
 
-    def theta_phase(self, o, tau):
+    def theta_phase(self, o, tau, g):
         sched, hist = self.sched, self.hist
         K, M = self.hmm.K, self.hmm.M
         pb = hist.belief(tau)
         pa = hist.belief(tau - 1) if tau > 1 else None
-        ubar = pa @ self.summaries.u if tau > 1 else np.zeros(K * M + K * K)
         eo = np.eye(M)[o - 1]
         params, hmm = self.params, self.hmm
         step = sched.theta_step / tau
@@ -105,7 +112,7 @@ class Reference:
             db = np.zeros((K, K)) if pa is None else pa[:, None] * (pb[None, :] - hmm.B)
             da[:, 0] = 0.0
             db[:, 0] = 0.0
-            dense = ubar + np.concatenate([da.ravel(), db.ravel()])
+            dense = g + np.concatenate([da.ravel(), db.ravel()])
             if not np.all(np.isfinite(dense)):
                 self.stalls += 1
                 break
@@ -139,6 +146,9 @@ def test_kernel_matches_validated_reference(K, M, family, budgets):
         elbo, psi, theta = ref.ingest(o)
         assert (rec.psi_updates, rec.theta_updates) == (psi, theta)
         assert abs(rec.elbo - elbo) <= 1e-12 * max(1.0, abs(elbo))
+        g = ref.summaries.g
+        assert np.max(np.abs(state.summaries.g - g)) \
+            <= 1e-12 * max(1.0, np.max(np.abs(g)))
     assert state.stalls_total == ref.stalls
     assert np.max(np.abs(state.hmm.A - ref.hmm.A)) <= 1e-12
     assert np.max(np.abs(state.hmm.B - ref.hmm.B)) <= 1e-12
@@ -154,8 +164,9 @@ def test_kernel_matches_validated_reference(K, M, family, budgets):
 def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
                                                             budgets):
     # each observation costs one gradient evaluation per ascent step, one
-    # fold step and at most one model rebuild, whatever tau is; nothing
-    # refolds the stream, and without a stall no step is replayed
+    # theta gradient evaluation that carries g on from tau = 2, one fold
+    # step and at most one model rebuild, whatever tau is; nothing refolds
+    # the stream, and without a stall no step is replayed
     M = 3
     truth = random_hmm(K, M, seed=K)
     sched = Schedule(psi_updates_per_obs=budgets[0],
@@ -200,7 +211,8 @@ def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
         rec = ingest(state, o)
         assert rec.stalls == 0
         assert (rec.psi_updates, rec.theta_updates) == budgets
-        assert (calls["psi_gradient"], calls["theta_gradient"]) == budgets
+        assert calls["psi_gradient"] == budgets[0]
+        assert calls["theta_gradient"] == budgets[1] + (rec.tau > 1)
         assert calls["ascent_step"] == 0
         assert calls["fold_step"] == (rec.tau > 1)
         assert calls["build_hmm"] == (budgets[1] > 0)
@@ -252,9 +264,9 @@ def _warm_state(schedule, n=5, params=None):
 
 def test_nan_in_carried_gradient_stalls_and_keeps_parameters():
     state = _warm_state(Schedule(psi_updates_per_obs=5, theta_updates_per_obs=4))
-    u = state.summaries.u.copy()
-    u[0, 1] = np.nan
-    state.summaries = dataclasses.replace(state.summaries, u=u)
+    g = state.summaries.g.copy()
+    g[1] = np.nan
+    state.summaries = dataclasses.replace(state.summaries, g=g)
     params, hmm = state.params, state.hmm
     rec = ingest(state, 1)
     assert rec.stalls == 1
@@ -292,13 +304,13 @@ def _ascent_cases():
     theta = rng.normal(size=3 * 2 + 3 * 3)
     theta[::2][:3] = 0.0  # the emission rows' pinned entries (M = 2)
     theta[6::3] = 0.0     # the transition rows' pinned entries
-    ubar = 0.1 * rng.normal(size=theta.shape)
+    g = 0.1 * rng.normal(size=theta.shape)
     pa, pb = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
     return {
         "psi": ("psi_gradient", (W, G, 2, 3), x.ravel(), 0.3,
                 lambda steps, step: kernel.psi_ascent(x, W, G, steps, step)),
-        "theta": ("theta_gradient", (ubar, pa, pb, 1), theta, 0.05,
-                  lambda steps, step: kernel.theta_ascent(theta, ubar, pa, pb,
+        "theta": ("theta_gradient", (g, pa, pb, 1), theta, 0.05,
+                  lambda steps, step: kernel.theta_ascent(theta, g, pa, pb,
                                                           1, steps, step)),
     }
 
@@ -352,7 +364,7 @@ def test_step_to_non_finite_parameter_raises(steps):
     state.schedule = Schedule(psi_updates_per_obs=0, theta_updates_per_obs=steps,
                               theta_step=np.finfo(float).max)
     state.summaries = dataclasses.replace(state.summaries,
-                                          u=1e6 * state.summaries.u)
+                                          g=1e6 * state.summaries.g)
     with pytest.raises(ConstraintError, match="non-finite"):
         ingest(state, 1)
 
@@ -364,7 +376,7 @@ def _assert_same_learner(a, b):
     assert np.array_equal(a.params.alpha_tilde, b.params.alpha_tilde)
     assert np.array_equal(a.params.beta_tilde, b.params.beta_tilde)
     assert np.array_equal(a.summaries.v, b.summaries.v)
-    assert np.array_equal(a.summaries.u, b.summaries.u)
+    assert np.array_equal(a.summaries.g, b.summaries.g)
 
 
 def test_failed_first_ingest_leaves_the_learner_fresh():

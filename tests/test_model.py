@@ -10,7 +10,6 @@ from vfe_stream.model import (
     Trajectory,
     build_hmm,
     hmm_from_config,
-    hmm_to_config,
     log_joint,
     log_softmax_row,
     sample_trajectory,
@@ -59,13 +58,6 @@ def test_model_params_pinning_enforced():
         ModelParams(alpha_tilde=[[0.0, 1.0]], beta_tilde=[[0.0, 0.0], [0.5, 0.0]])
     with pytest.raises(ConstraintError):
         ModelParams(alpha_tilde=[[0.0, np.inf]], beta_tilde=[[0.0]])
-
-
-def test_free_dim():
-    space = StateSpace(3, 4)
-    p = ModelParams.random(space, seed=0)
-    assert p.free_dim == 3 * 3 + 3 * 2
-    assert StateSpace(1, 1).K == 1
 
 
 def test_random_params_seeded_and_pinned():
@@ -221,7 +213,10 @@ def test_hmm_from_config_both_forms():
            "A": [[0.9, 0.1], [0.2, 0.8]], "B": [[0.7, 0.3], [0.4, 0.6]]}
     h1 = hmm_from_config(doc)
     assert np.allclose(h1.A, doc["A"], atol=1e-12)
-    doc2 = hmm_to_config(h1)
+    # the same model in logit form
+    doc2 = {"K": 2, "M": 2, "mu": [0.5, 0.5],
+            "alpha_tilde": h1.params.alpha_tilde.tolist(),
+            "beta_tilde": h1.params.beta_tilde.tolist()}
     h2 = hmm_from_config(json.loads(json.dumps(doc2)))
     assert np.allclose(h2.A, h1.A, atol=1e-15)
     assert np.allclose(h2.B, h1.B, atol=1e-15)

@@ -80,13 +80,13 @@ def bench_shape(K: int, M: int) -> dict:
     G = np.log(rng.dirichlet(np.ones(K), size=K))
     theta = np.concatenate([_pinned(rng, K, M).ravel(),
                             _pinned(rng, K, K).ravel()])
-    ubar = 0.1 * np.concatenate([_pinned(rng, K, M).ravel(),
-                                 _pinned(rng, K, K).ravel()])
+    g = 0.1 * np.concatenate([_pinned(rng, K, M).ravel(),
+                              _pinned(rng, K, K).ravel()])
     pa, pb = rng.dirichlet(np.ones(K)), rng.dirichlet(np.ones(K))
     o_idx = M - 1
     psi = _us_per_step(lambda: kernel.psi_ascent(x, W, G, STEPS, 0.1))
     theta_us = _us_per_step(
-        lambda: kernel.theta_ascent(theta, ubar, pa, pb, o_idx, STEPS, 1e-3))
+        lambda: kernel.theta_ascent(theta, g, pa, pb, o_idx, STEPS, 1e-3))
     return {"K": K, "M": M, "psi_us_per_step": round(psi, 2),
             "theta_us_per_step": round(theta_us, 2)}
 
