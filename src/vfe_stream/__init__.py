@@ -20,7 +20,6 @@ from .model import (
     StateSpace,
     Trajectory,
     build_hmm,
-    log_joint,
     sample_trajectory,
     softmax_row,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "StateSpace",
     "Trajectory",
     "build_hmm",
-    "log_joint",
     "sample_trajectory",
     "softmax_row",
     "EnumeratedPosterior",

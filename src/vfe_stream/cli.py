@@ -19,7 +19,7 @@ import numpy as np
 
 from . import elbo as elbo_mod
 from .learner import Schedule, run_stream, summary_dict
-from .mfa import MfaFamily, MfaHistory, full_q
+from .mfa import INIT_RULES, MfaFamily, MfaHistory, full_q
 from .model import (
     ConstraintError,
     GenerativeHMM,
@@ -146,7 +146,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown family {family_name!r}")
         family = _FAMILIES[family_name]
         init_rule = doc.get("init_rule", "prediction")
-        if init_rule not in ("uniform", "zeros", "prediction"):
+        if init_rule not in INIT_RULES:
             raise ConfigError(f"unknown init_rule {init_rule!r}")
         oracle = doc.get("oracle", "off")
         if oracle is True:
@@ -276,7 +276,7 @@ def _evaluate_candidate(cfg: ExperimentConfig, observations: list) -> dict:
         # the streaming value the run actually attained; re-scoring frozen
         # early beliefs at the final parameters would charge them for
         # parameter movement they could not have seen
-        objective = elbo_mod.finish(state.summaries, state.history)
+        objective = elbo_mod.finish(state.summaries, state.marginals.curr)
     log_evidence = forward_filter(state.hmm, observations).log_evidence
     return {
         "objective": objective,

@@ -33,13 +33,17 @@ theta_gradient(g_tau, pi_{tau-1}, pi_tau, o_tau).
 Cost per fold step is O(K^2 + dim(theta)), independent of tau, which is the
 whole point: the learner carries (V, g) across observations instead of
 recomputing the fold.  The fold step's arithmetic lives in kernel.fold_step;
-the functions here check the horizon and the observation around it, and
-recompute everything from scratch as the audit path.  They read the
-history as its array of rows (MfaHistory.rows, the checkpoint's layout):
-elbo_recursive takes the snapshot rows and the revision rows as two
-strided arrays and sums V's per-time terms in one pass, with no g.
-grad_psi and grad_theta evaluate the kernel's gradients, the ones the
-learner ascends, at inputs refolded exactly from the history.
+the step functions here check the time step and the observation around it
+and take the final marginals they need as arrays, not the history: the
+learner passes the ones its one normalisation pass per ingest gave.  The
+audit path recomputes everything from scratch.  It reads the history as
+its array of rows (MfaHistory.rows, the checkpoint's layout):
+scratch_summaries, grad_psi and grad_theta normalise every row in one call
+and feed the same step functions, and grad_psi and grad_theta evaluate the
+kernel's gradients, the ones the learner ascends, at inputs refolded
+exactly from those rows.  elbo_recursive takes the snapshot rows and the
+revision rows as two strided arrays and sums V's per-time terms in one
+pass, with no g.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .model import (
     StateSpace,
     _check_values,
     log_softmax,
+    softmax_and_log,
 )
 from . import kernel
 from .kernel import fold_step
@@ -115,59 +120,61 @@ class ElboSummaries:
     t: int
 
 
-def base_summaries(hmm: GenerativeHMM, history: MfaHistory, o1: int) -> ElboSummaries:
-    """Summaries at t = 1 for observation value o1 (1-based)."""
+def base_summaries(hmm: GenerativeHMM, log_pi1: np.ndarray,
+                   o1: int) -> ElboSummaries:
+    """Summaries at t = 1 for observation value o1 (1-based), given the log
+    marginal ln pi_1."""
     o_idx = int(o1) - 1
     if not 0 <= o_idx < hmm.M:
         raise ConstraintError(f"observation values must lie in 1..{hmm.M}")
-    log_pi1 = log_softmax(history.superseded_logits(1))
     v = hmm.log_mu() + hmm.log_A[:, o_idx] - log_pi1
     return ElboSummaries(v=v, g=np.zeros(hmm.K * hmm.M + hmm.K * hmm.K), t=1)
 
 
-def carried_gradient(prev: ElboSummaries, history: MfaHistory,
-                     theta: np.ndarray, o_prev: int) -> np.ndarray:
+def carried_gradient(prev: ElboSummaries, pa: Optional[np.ndarray],
+                     pb: np.ndarray, theta: np.ndarray,
+                     o_prev: int) -> np.ndarray:
     """g at time prev.t + 1: prev.g plus the gradient of time prev.t's
     terms at the flat theta, given that time's observation value o_prev
-    (1-based).  The beliefs of prev.t - 1 and prev.t must be final."""
-    return kernel.theta_gradient(*theta_inputs(history, prev.t, prev.g),
-                                 int(o_prev) - 1)(theta)
+    (1-based) and the final marginals pa of prev.t - 1 (None at
+    prev.t = 1) and pb of prev.t."""
+    return kernel.theta_gradient(prev.g, pa, pb, int(o_prev) - 1)(theta)
 
 
-def step_summaries(prev: ElboSummaries, hmm: GenerativeHMM, history: MfaHistory,
-                   t: int, o_t: int, g: np.ndarray) -> ElboSummaries:
+def step_summaries(prev: ElboSummaries, hmm: GenerativeHMM, t: int, o_t: int,
+                   log_w: np.ndarray, log_curr: np.ndarray,
+                   log_sup: np.ndarray, g: np.ndarray) -> ElboSummaries:
     """One fold step: advance V from time t-1 to time t, and take g, the
-    carried gradient at time t."""
+    carried gradient at time t.  log_w, log_curr and log_sup are the log
+    marginals of the step: the revision of t - 1, the current row of t and
+    the superseded row of t - 1."""
     if prev.t != t - 1:
         raise ConstraintError(f"summaries are at t = {prev.t}, expected {t - 1}")
     o_idx = int(o_t) - 1
     if not 0 <= o_idx < hmm.M:
         raise ConstraintError(f"observation values must lie in 1..{hmm.M}")
-    # the log revision and current marginals and the superseded one of t-1;
-    # history rows are validated when they are stored
-    rows = log_softmax(history.rows[[2 * t - 3, 2 * t - 2, 2 * t - 4]])
-    v = fold_step(prev.v, *rows, hmm.log_A, hmm.log_B, o_idx)
+    v = fold_step(prev.v, log_w, log_curr, log_sup, hmm.log_A, hmm.log_B, o_idx)
     return ElboSummaries(v=v, g=g, t=t)
 
 
 def streaming_update_summaries(prev: ElboSummaries, observation: int,
-                               hmm: GenerativeHMM, history: MfaHistory,
+                               hmm: GenerativeHMM, log_w: np.ndarray,
+                               log_curr: np.ndarray, log_sup: np.ndarray,
                                g: np.ndarray) -> ElboSummaries:
-    """Advance carried summaries to the history's current horizon.
+    """Advance carried summaries one time step, to prev.t + 1, given that
+    step's final log marginals (as step_summaries takes them).
 
-    The history must already hold the (final) snapshot for the new time
-    step; the result is bit-identical to recomputing the whole fold as long
-    as theta and the frozen blocks are unchanged, because it is the same
-    step function applied once.
+    The result is bit-identical to recomputing the whole fold as long as
+    theta and the frozen blocks are unchanged, because it is the same step
+    function applied once.
     """
-    return step_summaries(prev, hmm, history, history.horizon, observation, g)
+    return step_summaries(prev, hmm, prev.t + 1, observation, log_w, log_curr,
+                          log_sup, g)
 
 
-def finish(summaries: ElboSummaries, history: MfaHistory) -> float:
+def finish(summaries: ElboSummaries, pi: np.ndarray) -> float:
     """Contract a summary against the newest marginal: L = pi_tau . V_tau."""
-    if summaries.t != history.horizon:
-        raise ConstraintError("summaries are not at the current horizon")
-    return float(history.belief(history.horizon) @ summaries.v)
+    return float(pi @ summaries.v)
 
 
 def _checked_observations(hmm: GenerativeHMM, history: MfaHistory,
@@ -179,16 +186,27 @@ def _checked_observations(hmm: GenerativeHMM, history: MfaHistory,
     return o
 
 
+def _fold(hmm: GenerativeHMM, p: np.ndarray, log_p: np.ndarray,
+          o: np.ndarray) -> ElboSummaries:
+    """The fold from t = 1 at the current parameters, over the marginals p
+    and log marginals log_p of the stored rows (MfaHistory.rows' layout)
+    for the 1-based observations o, one per time step."""
+    theta = params_vector(hmm.params)
+    s = base_summaries(hmm, log_p[0], int(o[0]))
+    for t in range(2, o.shape[0] + 1):
+        g = carried_gradient(s, p[2 * t - 5] if t > 2 else None, p[2 * t - 3],
+                             theta, int(o[t - 2]))
+        s = step_summaries(s, hmm, t, int(o[t - 1]), log_p[2 * t - 3],
+                           log_p[2 * t - 2], log_p[2 * t - 4], g)
+    return s
+
+
 def scratch_summaries(hmm: GenerativeHMM, history: MfaHistory,
                       observations: Sequence[int]) -> ElboSummaries:
-    """Recompute the whole fold from t = 1 at the current parameters."""
+    """Recompute the whole fold from t = 1 at the current parameters, with
+    every stored row normalised in one pass."""
     o = _checked_observations(hmm, history, observations) + 1
-    theta = params_vector(hmm.params)
-    s = base_summaries(hmm, history, int(o[0]))
-    for t in range(2, history.horizon + 1):
-        g = carried_gradient(s, history, theta, int(o[t - 2]))
-        s = step_summaries(s, hmm, history, t, int(o[t - 1]), g)
-    return s
+    return _fold(hmm, *softmax_and_log(history.rows), o)
 
 
 # -- public objective and gradients -------------------------------------------
@@ -217,33 +235,29 @@ def elbo_recursive(hmm: GenerativeHMM, history: MfaHistory,
 
 
 def step_inputs(hmm: GenerativeHMM, prev: Optional[ElboSummaries],
-                history: MfaHistory, o_t: int) -> tuple:
+                log_sup: Optional[np.ndarray], o_t: int) -> tuple:
     """(W, G) for kernel.psi_gradient at the current horizon: W folds the V
-    of prev, the summaries at tau - 1, with the superseded log marginal; G
-    is the fresh transition-plus-emission table.  At horizon 1 (prev None)
-    W is ln mu + ln A[:, o] and G is None."""
+    of prev, the summaries at tau - 1, with log_sup, the superseded log
+    marginal of tau - 1; G is the fresh transition-plus-emission table.  At
+    horizon 1 (prev and log_sup None) W is ln mu + ln A[:, o] and G is
+    None."""
     o_idx = int(o_t) - 1
-    if history.horizon == 1:
+    if prev is None:
         return hmm.log_mu() + hmm.log_A[:, o_idx], None
-    log_sup = log_softmax(history.superseded_logits(history.horizon - 1))
     W = prev.v + log_sup
     G = hmm.log_B + hmm.log_A[:, o_idx][None, :]
     return W, G
-
-
-def theta_inputs(history: MfaHistory, t: int, g: np.ndarray) -> tuple:
-    """(g, pa, pb) for kernel.theta_gradient at time t: g carried to t and
-    the beliefs of times t - 1 (None at t = 1) and t."""
-    return g, history.belief(t - 1) if t > 1 else None, history.belief(t)
 
 
 def grad_theta(hmm: GenerativeHMM, history: MfaHistory,
                observations: Sequence[int]) -> ThetaGrad:
     """Exact parameter gradient of elbo_recursive at the current theta:
     kernel.theta_gradient at the g of scratch_summaries."""
-    s = scratch_summaries(hmm, history, observations)
-    gradient = kernel.theta_gradient(*theta_inputs(history, s.t, s.g),
-                                     int(observations[-1]) - 1)
+    o = _checked_observations(hmm, history, observations) + 1
+    p, log_p = softmax_and_log(history.rows)
+    s = _fold(hmm, p, log_p, o)
+    gradient = kernel.theta_gradient(s.g, p[-2] if history.horizon > 1
+                                     else None, p[-1], int(o[-1]) - 1)
     dense = gradient(params_vector(hmm.params))
     return ThetaGrad(*kernel.theta_rows(dense, hmm.K, hmm.M))
 
@@ -258,11 +272,14 @@ def grad_psi(hmm: GenerativeHMM, history: MfaHistory,
     only the final fold step differentiates, through kernel.psi_gradient;
     frozen-row coordinates are not emitted at all.
     """
-    o = _checked_observations(hmm, history, observations)
-    prev = None
+    o = _checked_observations(hmm, history, observations) + 1
+    prev = log_sup = None
     if history.horizon > 1:
-        prev = scratch_summaries(hmm, history.prefix(), o[:-1] + 1)
+        # the rows below the newest snapshot's are the prefix at tau - 1
+        p, log_p = softmax_and_log(history.rows)
+        prev = _fold(hmm, p[:-2], log_p[:-2], o[:-1])
+        log_sup = log_p[-3]
     x = history.updatable_logits()
-    W, G = step_inputs(hmm, prev, history, int(o[-1]) + 1)
+    W, G = step_inputs(hmm, prev, log_sup, int(o[-1]))
     g = kernel.psi_gradient(W, G, *x.shape)(x.ravel())
     return g.reshape(x.shape)[:, 1:].ravel()

@@ -1,9 +1,19 @@
 """Streaming coordinate-ascent learner.
 
 Per observation: grow the horizon, run a fixed budget of ascent steps on the
-two updatable belief rows, carry the theta gradient g one step on, run a
-fixed budget on the model parameters (using the just-updated beliefs), then
-fold V and append a trace record.  Per-observation cost is constant in tau.
+two updatable belief rows, normalise those rows once, carry the theta
+gradient g one step on, run a fixed budget on the model parameters (using
+the just-updated beliefs), then fold V and append a trace record.
+Per-observation cost is constant in tau.
+
+Each stored row is normalised once.  The one softmax-and-log pass of an
+ingest covers the rows the psi phase wrote, and gives the final marginals
+pi_{tau-1} and pi_tau with their logs.  The learner carries pi_{tau-1},
+pi_tau and ln pi_tau (Marginals) to the next ingest, whose augmentation
+predicts from pi_tau, whose psi phase and fold read ln pi_tau as the
+superseded log marginal, and whose g carry reads pi_{tau-1}.  Every
+consumer in the ingest (the g carry, the theta phase, the fold, finish and
+the oracles' filter_l1) reads these arrays, not the history.
 
 The two ascent loops run in kernel on plain arrays.  Values are validated
 where they enter, once: mu and the starting parameters in init_learner, and
@@ -31,14 +41,15 @@ import itertools
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from . import elbo as elbo_mod
 from . import kernel
-from .mfa import MfaFamily, MfaHistory, augment
-from .model import ConstraintError, GenerativeHMM, ModelParams, build_hmm
+from .mfa import INIT_RULES, MfaFamily, MfaHistory, augment
+from .model import (ConstraintError, GenerativeHMM, ModelParams, build_hmm,
+                    softmax_and_log)
 from .oracle import forward_filter
 
 
@@ -66,7 +77,8 @@ class Schedule:
                     or n < 0:
                 raise ConstraintError("update counts must be integers >= 0")
         for s in (self.psi_step, self.theta_step):
-            if not (np.isfinite(s) and s > 0.0):
+            if isinstance(s, (bool, np.bool_)) or not (np.isfinite(s)
+                                                       and s > 0.0):
                 raise ConstraintError("step sizes must be positive reals")
 
 
@@ -124,10 +136,21 @@ class StreamTrace:
         return [getattr(r, name) for r in self.records]
 
 
+class Marginals(NamedTuple):
+    """The final marginals at the end of the ingest of tau: pi_{tau-1}
+    (None at tau = 1), pi_tau and ln pi_tau.  The ingest's one
+    normalisation pass gives them; the next ingest reads them back instead
+    of normalising the same rows again."""
+
+    prev: Optional[np.ndarray]
+    curr: np.ndarray
+    log_curr: np.ndarray
+
+
 @dataclass
 class LearnerState:
     """Mutable stream state: current model, belief history, carried
-    summaries, accumulated observations and stall count."""
+    summaries and marginals, accumulated observations and stall count."""
 
     mu: np.ndarray
     params: ModelParams
@@ -139,6 +162,7 @@ class LearnerState:
     reference: Optional[GenerativeHMM] = None
     history: Optional[MfaHistory] = None
     summaries: Optional[elbo_mod.ElboSummaries] = None
+    marginals: Optional[Marginals] = None
     tau: int = 0
     observations: list = field(default_factory=list)
     stalls_total: int = 0
@@ -155,7 +179,7 @@ def init_learner(params: ModelParams, mu, schedule: Schedule,
         raise ConstraintError("oracle_mode must be off, self or reference")
     if oracle_mode == "reference" and reference is None:
         raise ConstraintError("reference oracle mode needs a reference model")
-    if init_rule not in ("uniform", "zeros", "prediction"):
+    if init_rule not in INIT_RULES:
         raise ConstraintError(f"unknown init_rule {init_rule!r}")
     hmm = build_hmm(mu, params)
     if not (hmm.mu > 0.0).all():
@@ -176,10 +200,12 @@ def _first_block(state: LearnerState) -> np.ndarray:
     return np.zeros(state.hmm.K)
 
 
-def _psi_phase(state: LearnerState, o: int) -> int:
-    """Ascent on the updatable rows; returns applied update count."""
+def _psi_phase(state: LearnerState, o: int, last: Optional[Marginals]) -> int:
+    """Ascent on the updatable rows; returns applied update count.  last
+    holds the marginals of the previous ingest (None at tau = 1)."""
     sched, hist = state.schedule, state.history
-    W, G = elbo_mod.step_inputs(state.hmm, state.summaries, hist, o)
+    log_sup = None if last is None else last.log_curr
+    W, G = elbo_mod.step_inputs(state.hmm, state.summaries, log_sup, o)
     x, applied, stalled = kernel.psi_ascent(
         hist.updatable_logits(), W, G, sched.psi_updates_per_obs,
         sched.psi_step)
@@ -189,18 +215,19 @@ def _psi_phase(state: LearnerState, o: int) -> int:
 
 
 def _theta_phase(state: LearnerState, o: int, theta: np.ndarray,
-                 g: np.ndarray) -> int:
-    """Ascent on the flat parameters theta using the just-updated beliefs;
-    the carried gradient g is fixed, the fresh final-step part tracks the
-    moving parameters.  The parameters are validated and the model rebuilt
-    once, when the loop exits."""
+                 g: np.ndarray, pa: Optional[np.ndarray],
+                 pb: np.ndarray) -> int:
+    """Ascent on the flat parameters theta using the just-updated beliefs
+    pa (None at tau = 1) and pb; the carried gradient g is fixed, the fresh
+    final-step part tracks the moving parameters.  The parameters are
+    validated and the model rebuilt once, when the loop exits."""
     sched = state.schedule
     if sched.theta_updates_per_obs == 0:
         return 0
     K, M = state.hmm.K, state.hmm.M
     theta, applied, stalled = kernel.theta_ascent(
-        theta, *elbo_mod.theta_inputs(state.history, state.tau, g), o - 1,
-        sched.theta_updates_per_obs, sched.theta_step / state.tau)
+        theta, g, pa, pb, o - 1, sched.theta_updates_per_obs,
+        sched.theta_step / state.tau)
     state.stalls_total += stalled
     if applied:
         state.params = ModelParams(*kernel.theta_rows(theta, K, M))
@@ -209,43 +236,58 @@ def _theta_phase(state: LearnerState, o: int, theta: np.ndarray,
 
 
 def ingest(state: LearnerState, observation: int) -> TraceRecord:
-    """Consume one observation: augment, update beliefs, update parameters,
-    refresh summaries, record.
+    """Consume one observation: augment, update beliefs, normalise the rows
+    they wrote once, update parameters, refresh summaries, record.
 
-    All or nothing: when any step fails, the state is put back as it was
-    before the call and the error is raised again: a ConstraintError with
-    the failing tau prepended to its message, any other error unchanged.
+    The observation must be an integer (a Python or numpy one, not a bool)
+    in 1..M; anything else raises ConstraintError before the state changes.
+    All or nothing: when any later step fails, the state is put back as it
+    was before the call and the error is raised again: a ConstraintError
+    with the failing tau prepended to its message, any other error
+    unchanged.
     """
     t_start = time.perf_counter()
+    if isinstance(observation, bool) \
+            or not isinstance(observation, numbers.Integral):
+        raise ConstraintError(
+            f"observation {observation!r} is not an integer at "
+            f"tau={state.tau + 1}")
     o = int(observation)
     if not 1 <= o <= state.hmm.M:
         raise ConstraintError(
             f"observation {o} out of range 1..{state.hmm.M} at tau={state.tau + 1}")
-    saved = (state.params, state.hmm, state.summaries, state.stalls_total)
+    last = state.marginals
+    saved = (state.params, state.hmm, state.summaries, last, state.stalls_total)
     state.tau += 1
     state.observations.append(o)
     try:
         if state.tau == 1:
             state.history = MfaHistory(_first_block(state))
         else:
-            augment(state.history, state.init_rule, state.hmm)
-        psi_applied = _psi_phase(state, o)
+            augment(state.history, state.init_rule, state.hmm, last.curr)
+        psi_applied = _psi_phase(state, o, last)
+        # the one normalisation pass: the rows psi wrote, (revision of
+        # tau - 1, current of tau) or the one row at tau = 1
+        p, log_p = softmax_and_log(state.history.updatable_logits())
+        pa = p[0] if state.tau > 1 else None
         theta = elbo_mod.params_vector(state.params)
         if state.tau == 1:
             g = np.zeros_like(theta)
         else:
             # at theta_{tau-1}, with the belief of tau - 1 now final
-            g = elbo_mod.carried_gradient(state.summaries, state.history,
+            g = elbo_mod.carried_gradient(state.summaries, last.prev, pa,
                                           theta, state.observations[-2])
-        theta_applied = _theta_phase(state, o, theta, g)
+        theta_applied = _theta_phase(state, o, theta, g, pa, p[-1])
         if state.tau == 1:
-            state.summaries = elbo_mod.base_summaries(state.hmm, state.history, o)
+            state.summaries = elbo_mod.base_summaries(state.hmm, log_p[0], o)
         else:
             state.summaries = elbo_mod.streaming_update_summaries(
-                state.summaries, o, state.hmm, state.history, g)
+                state.summaries, o, state.hmm, log_p[0], log_p[1],
+                last.log_curr, g)
+        state.marginals = Marginals(pa, p[-1], log_p[-1])
 
         log_evidence = gap = filter_l1 = None
-        elbo_value = elbo_mod.finish(state.summaries, state.history)
+        elbo_value = elbo_mod.finish(state.summaries, p[-1])
         if state.oracle_mode == "self":
             filt = forward_filter(state.hmm, state.observations)
             exact, _ = elbo_mod.elbo_recursive(state.hmm, state.history,
@@ -253,15 +295,14 @@ def ingest(state: LearnerState, observation: int) -> TraceRecord:
             elbo_value = exact
             log_evidence = filt.log_evidence
             gap = log_evidence - exact
-            filter_l1 = float(np.abs(state.history.belief(state.tau)
-                                     - filt.marginals[-1]).sum())
+            filter_l1 = float(np.abs(p[-1] - filt.marginals[-1]).sum())
         elif state.oracle_mode == "reference":
             ref = state.reference
             w = state.ref_pred * ref.A[:, o - 1]
             c = float(w.sum())
             marg = w / c
             log_evidence = state.ref_logz + float(np.log(c))
-            filter_l1 = float(np.abs(state.history.belief(state.tau) - marg).sum())
+            filter_l1 = float(np.abs(p[-1] - marg).sum())
             # written last, after every step that can fail: the rollback
             # does not restore them
             state.ref_logz = log_evidence
@@ -277,20 +318,22 @@ def ingest(state: LearnerState, observation: int) -> TraceRecord:
     return TraceRecord(tau=state.tau, elbo=elbo_value, log_evidence=log_evidence,
                        gap=gap, filter_l1=filter_l1, psi_updates=psi_applied,
                        theta_updates=theta_applied,
-                       stalls=state.stalls_total - saved[3],
+                       stalls=state.stalls_total - saved[4],
                        wall_ms=wall_ms)
 
 
 def _roll_back(state: LearnerState, saved: tuple) -> None:
     """Undo a failed ingest: drop its observation and the snapshot it
-    appended, and restore the model, summaries and stall count."""
+    appended, and restore the model, summaries, marginals and stall
+    count."""
     state.tau -= 1
     state.observations.pop()
     if state.tau == 0:
         state.history = None
     elif state.history.horizon > state.tau:
         state.history.drop_newest()
-    state.params, state.hmm, state.summaries, state.stalls_total = saved
+    (state.params, state.hmm, state.summaries, state.marginals,
+     state.stalls_total) = saved
 
 
 @dataclass

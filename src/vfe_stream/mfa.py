@@ -42,6 +42,8 @@ class MfaFamily(Enum):
     REVERSED = "reversed"
 
 
+INIT_RULES = ("uniform", "prediction")  # how augment starts a fresh row
+
 _CAPACITY = 16  # rows a new history allocates; the buffer doubles when full
 
 
@@ -206,28 +208,31 @@ class MfaHistory:
 
 # -- augmentation -------------------------------------------------------------
 
-def prediction_logits(hmm: GenerativeHMM, history: MfaHistory) -> np.ndarray:
+def prediction_logits(hmm: GenerativeHMM, belief: np.ndarray) -> np.ndarray:
     """One-step-prediction initializer: push the newest marginal through the
     transition matrix and convert back to pinned logits."""
-    pred = hmm.B.T @ history.belief(history.horizon)
+    pred = hmm.B.T @ belief
     logits = np.log(pred)
     return logits - logits[0]
 
 
 def augment(history: MfaHistory, init_rule: str = "uniform",
-            hmm: Optional[GenerativeHMM] = None) -> MfaHistory:
+            hmm: Optional[GenerativeHMM] = None,
+            belief: Optional[np.ndarray] = None) -> MfaHistory:
     """Grow the horizon by one (in place; the history object is returned).
 
     The revision row starts as the outgoing belief (no revision yet) and
-    the fresh row follows init_rule: "uniform"/"zeros" for zero logits,
-    "prediction" for the one-step prediction under hmm.
+    the fresh row follows init_rule: "uniform" for zero logits,
+    "prediction" for the one-step prediction under hmm of belief, the
+    newest marginal (the learner carries it, so no row is normalised here).
     """
-    if init_rule in ("uniform", "zeros"):
+    if init_rule == "uniform":
         rho = np.zeros(history.K)
     elif init_rule == "prediction":
-        if hmm is None:
-            raise ConstraintError("prediction init_rule needs the model")
-        rho = prediction_logits(hmm, history)
+        if hmm is None or belief is None:
+            raise ConstraintError(
+                "prediction init_rule needs the model and the newest marginal")
+        rho = prediction_logits(hmm, belief)
     else:
         raise ConstraintError(f"unknown init_rule {init_rule!r}")
     history.append_snapshot(rho)

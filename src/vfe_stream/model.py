@@ -56,6 +56,16 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+def softmax_and_log(z: np.ndarray) -> tuple:
+    """(softmax, log-softmax) of each row over the last axis in one pass
+    that shares the max, exp and sum, without validation.  Row for row,
+    the two are bit for bit what softmax and log_softmax give."""
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=-1, keepdims=True)
+    return e / s, z - np.log(s)
+
+
 def log_softmax_row(logits) -> np.ndarray:
     """Logarithm of softmax_row, computed without forming the probabilities."""
     z = np.asarray(logits, dtype=float)
@@ -266,21 +276,6 @@ def _check_values(values: Sequence[int], upper: int, what: str) -> np.ndarray:
     if arr.size and (arr.min() < 1 or arr.max() > upper):
         raise ConstraintError(f"{what} values must lie in 1..{upper}")
     return arr - 1
-
-
-def log_joint(hmm: GenerativeHMM, trajectory: Trajectory) -> float:
-    """ln p(s_{1:n}, o_{1:n}) = ln mu(s_1) + sum ln B + sum ln A, in log space.
-
-    Returns -inf for trajectories that start in a zero-mass initial state.
-    """
-    s = _check_values(trajectory.states, hmm.K, "state")
-    o = _check_values(trajectory.observations, hmm.M, "observation")
-    if s.size == 0:
-        return 0.0
-    total = float(hmm.log_mu()[s[0]])
-    total += float(hmm.log_B[s[:-1], s[1:]].sum())
-    total += float(hmm.log_A[s, o].sum())
-    return total
 
 
 # --- config round trip -------------------------------------------------------

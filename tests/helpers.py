@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from vfe_stream.model import ModelParams, StateSpace, build_hmm, log_softmax_row
+from vfe_stream.model import (ModelParams, StateSpace, _check_values,
+                              build_hmm, log_softmax_row)
 
 BIG = 30.0  # +-30 logits realize near-deterministic rows within 1e-12
 
@@ -29,6 +30,21 @@ def random_hmm(K: int, M: int, seed: int, scale: float = 2.0):
 def random_obs(M: int, tau: int, seed: int) -> list:
     rng = np.random.default_rng(1000 + seed)
     return [int(rng.integers(1, M + 1)) for _ in range(tau)]
+
+
+def log_joint(hmm, trajectory) -> float:
+    """ln p(s_{1:n}, o_{1:n}) = ln mu(s_1) + sum ln B + sum ln A, in log space.
+
+    Returns -inf for trajectories that start in a zero-mass initial state.
+    """
+    s = _check_values(trajectory.states, hmm.K, "state")
+    o = _check_values(trajectory.observations, hmm.M, "observation")
+    if s.size == 0:
+        return 0.0
+    total = float(hmm.log_mu()[s[0]])
+    total += float(hmm.log_B[s[:-1], s[1:]].sum())
+    total += float(hmm.log_A[s, o].sum())
+    return total
 
 
 # -- block-form psi gradient --------------------------------------------------

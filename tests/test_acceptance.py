@@ -229,7 +229,7 @@ def test_streaming_equals_scratch_and_costs_constant():
         scratch = elbo_mod.finish(
             elbo_mod.scratch_summaries(state.hmm, state.history,
                                        state.observations),
-            state.history)
+            state.history.belief(state.tau))
         worst = max(worst, abs(rec.elbo - scratch))
 
     def median_ingest_cost(horizon: int) -> float:
@@ -311,7 +311,8 @@ def test_model_comparison_prefers_two_states(benchmark_run):
     # the two-state candidate is the shared benchmark run, scored by the
     # streaming objective it attained online (same rule as the compare tool)
     state2 = b["state"]
-    avg_vfe_k2 = -elbo_mod.finish(state2.summaries, state2.history) / tau
+    avg_vfe_k2 = -elbo_mod.finish(state2.summaries,
+                                  state2.marginals.curr) / tau
     # the single-state candidate: fit the i.i.d. model on the same data with
     # the same gentle parameter schedule
     iid = hmm_from_config({"K": 1, "M": 2, "mu": [1.0],

@@ -186,6 +186,9 @@ def test_fit_rejects_states_file_as_data(tmp_path):
     lambda d: d["schedule"].update(line_search=True),
     lambda d: d["schedule"].update(line_search=False),
     lambda d: d.update(out={"weird": "x.csv"}),
+    lambda d: d["schedule"].update(psi_step=True),
+    lambda d: d["schedule"].update(theta_step=False),
+    lambda d: d.update(init_rule="zeros"),
 ])
 def test_bad_config_exits_2(tmp_path, mutate):
     doc = base_config(length=5)

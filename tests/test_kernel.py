@@ -20,11 +20,12 @@ from helpers import (
 
 from vfe_stream import elbo as elbo_mod
 from vfe_stream import kernel
-from vfe_stream import learner
+from vfe_stream import learner, mfa, model
 from vfe_stream.kernel import ascent_step
 from vfe_stream.learner import Schedule, ingest, init_learner
 from vfe_stream.mfa import MfaFamily, MfaHistory, augment
-from vfe_stream.model import ConstraintError, ModelParams, StateSpace, build_hmm
+from vfe_stream.model import (ConstraintError, ModelParams, StateSpace,
+                              build_hmm, log_softmax, softmax)
 
 TAU = 60
 
@@ -35,7 +36,8 @@ class Reference:
     through ascent_step, every parameter step through ModelParams and
     build_hmm, every fold step through streaming_update_summaries, and the
     theta gradient carried as the dense matrix U of tests/helpers.py: the
-    theta phase at tau reads g = pi_{tau-1} @ U_{tau-1}."""
+    theta phase at tau reads g = pi_{tau-1} @ U_{tau-1}.  Every marginal is
+    normalised from its history row where it is used."""
 
     def __init__(self, params, mu, schedule):
         self.params = params
@@ -55,19 +57,25 @@ class Reference:
             logits = np.log(self.mu)
             self.hist = MfaHistory(logits - logits[0])
         else:
-            augment(self.hist, "prediction", self.hmm)
+            augment(self.hist, "prediction", self.hmm,
+                    self.hist.belief(tau - 1))
         psi = self.psi_phase(o, tau)
         K, M = self.hmm.K, self.hmm.M
         pa = self.hist.belief(tau - 1) if tau > 1 else None
         g = pa @ self.u if tau > 1 else np.zeros(K * M + K * K)
         theta = self.theta_phase(o, tau, g)
         self.u = dense_u_step(self.u, pa, self.hmm.A, self.hmm.B, o - 1)
+        hist = self.hist
         if tau == 1:
-            self.summaries = elbo_mod.base_summaries(self.hmm, self.hist, o)
+            self.summaries = elbo_mod.base_summaries(
+                self.hmm, log_softmax(hist.superseded_logits(1)), o)
         else:
             self.summaries = elbo_mod.streaming_update_summaries(
-                self.summaries, o, self.hmm, self.hist, g)
-        elbo = elbo_mod.finish(self.summaries, self.hist)
+                self.summaries, o, self.hmm,
+                log_softmax(hist.belief_logits(tau - 1)),
+                log_softmax(hist.superseded_logits(tau)),
+                log_softmax(hist.superseded_logits(tau - 1)), g)
+        elbo = elbo_mod.finish(self.summaries, hist.belief(tau))
         return elbo, psi, theta
 
     def psi_phase(self, o, tau):
@@ -85,7 +93,8 @@ class Reference:
                 applied += 1
             hist.set_updatable(b[None, :])
             return applied
-        W, G = elbo_mod.step_inputs(hmm, self.summaries, hist, o)
+        W, G = elbo_mod.step_inputs(
+            hmm, self.summaries, log_softmax(hist.superseded_logits(tau - 1)), o)
         K = hmm.K
         x = hist.updatable_logits().ravel()
         for _ in range(sched.psi_updates_per_obs):
@@ -252,6 +261,78 @@ def test_audit_does_not_refold_the_stream(monkeypatch, K):
     assert calls["fold_step"] == 0 and calls["step_summaries"] == 0
 
 
+@pytest.mark.parametrize("budgets", [(0, 0), (6, 0), (0, 3), (9, 3)])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_carried_marginals_are_the_rows_normalised(K, budgets):
+    # what the learner carries from one ingest to the next is, bit for bit,
+    # the softmax and log-softmax of the final belief rows
+    M = 3
+    truth = random_hmm(K, M, seed=K)
+    sched = Schedule(psi_updates_per_obs=budgets[0],
+                     theta_updates_per_obs=budgets[1], psi_step=1.5,
+                     theta_step=2.0)
+    state = init_learner(ModelParams.random(StateSpace(K, M), seed=20 + K),
+                         truth.mu, sched)
+    for o in random_obs(M, TAU, seed=K):
+        tau = ingest(state, o).tau
+        prev, curr, log_curr = state.marginals
+        hist = state.history
+        if tau == 1:
+            assert prev is None
+        else:
+            assert prev.tobytes() == \
+                softmax(hist.belief_logits(tau - 1)).tobytes()
+        assert curr.tobytes() == softmax(hist.belief_logits(tau)).tobytes()
+        assert log_curr.tobytes() == \
+            log_softmax(hist.belief_logits(tau)).tobytes()
+
+
+@pytest.mark.parametrize("budgets", [(0, 0), (6, 0), (0, 3), (9, 3)])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_each_ingest_normalises_the_rows_psi_wrote_once(monkeypatch, K,
+                                                        budgets):
+    # every softmax or log-softmax of stored history rows is recorded; per
+    # ingest there is one, over exactly the rows the psi phase wrote.  The
+    # model rebuild normalises parameter rows, which are not counted.
+    M = 3
+    truth = random_hmm(K, M, seed=K)
+    sched = Schedule(psi_updates_per_obs=budgets[0],
+                     theta_updates_per_obs=budgets[1], psi_step=1.5,
+                     theta_step=2.0)
+    state = init_learner(ModelParams.random(StateSpace(K, M), seed=20 + K),
+                         truth.mu, sched)
+    passes, building = [], []
+
+    def recorded(fn):
+        def wrapper(z):
+            if not building:
+                passes.append(np.array(z, ndmin=2))
+            return fn(z)
+        return wrapper
+
+    def rebuild(*args):
+        building.append(True)
+        try:
+            return build_hmm(*args)
+        finally:
+            building.pop()
+
+    for module in (model, mfa, elbo_mod, learner):
+        for name in ("softmax", "log_softmax", "softmax_and_log"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    recorded(getattr(module, name)))
+    monkeypatch.setattr(learner, "build_hmm", rebuild)
+    for o in random_obs(M, TAU, seed=K):
+        passes.clear()
+        ingest(state, o)
+        stored = {row.tobytes() for row in state.history.rows}
+        over_rows = [z for z in passes
+                     if all(row.tobytes() in stored for row in z)]
+        assert len(over_rows) == 1
+        assert np.array_equal(over_rows[0], state.history.updatable_logits())
+
+
 def _warm_state(schedule, n=5, params=None):
     truth = random_hmm(2, 2, seed=3)
     if params is None:
@@ -377,6 +458,8 @@ def _assert_same_learner(a, b):
     assert np.array_equal(a.params.beta_tilde, b.params.beta_tilde)
     assert np.array_equal(a.summaries.v, b.summaries.v)
     assert np.array_equal(a.summaries.g, b.summaries.g)
+    for x, y in zip(a.marginals, b.marginals):
+        assert (x is None and y is None) or np.array_equal(x, y)
 
 
 def test_failed_first_ingest_leaves_the_learner_fresh():

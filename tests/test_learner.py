@@ -76,6 +76,10 @@ def test_schedule_rejects_bad_values():
         Schedule(theta_step=-0.1)
     with pytest.raises(ConstraintError):
         Schedule(psi_step=float("nan"))
+    with pytest.raises(ConstraintError):
+        Schedule(psi_step=True)
+    with pytest.raises(ConstraintError):
+        Schedule(theta_step=False)
 
 
 @pytest.mark.parametrize("count", [2.5, 3.0, True, "4"])
@@ -175,6 +179,8 @@ def test_init_learner_rejections():
     with pytest.raises(ConstraintError):
         init_learner(params, hmm.mu, sched, init_rule="magic")
     with pytest.raises(ConstraintError):
+        init_learner(params, hmm.mu, sched, init_rule="zeros")
+    with pytest.raises(ConstraintError):
         init_learner(params, hmm.mu, sched, oracle_mode="sideways")
     with pytest.raises(ConstraintError):
         init_learner(params, hmm.mu, sched, oracle_mode="reference")
@@ -199,6 +205,25 @@ def test_ingest_rejects_out_of_range_observation():
         ingest(state, 0)
     with pytest.raises(ConstraintError, match="out of range"):
         ingest(state, 3)
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.7, 1.0, True, np.True_,
+                                 np.float64(2.0), "1"])
+def test_ingest_rejects_a_non_integer_observation(bad):
+    # nothing is truncated: the state is as it was, and integers of any
+    # kind, numpy's too, still go in
+    params = ModelParams.random(StateSpace(K=2, M=2), seed=0)
+    state = init_learner(params, [0.5, 0.5], Schedule(psi_updates_per_obs=3,
+                                                     theta_updates_per_obs=2))
+    ingest(state, 1)
+    history = state.history.to_dict()
+    with pytest.raises(ConstraintError, match="not an integer"):
+        ingest(state, bad)
+    assert (state.tau, state.observations) == (1, [1])
+    assert state.history.to_dict() == history
+    for o in (np.int64(2), np.uint8(1), 2):
+        assert ingest(state, o).tau == state.tau
+    assert state.observations == [1, 2, 1, 2]
 
 
 # -- streaming against scratch ----------------------------------------------

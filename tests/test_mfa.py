@@ -64,7 +64,7 @@ def test_m_conditional_concrete_table():
 
 def test_augment_zeros_gives_uniform():
     h = MfaHistory(pin([0.0, 1.0]))
-    augment(h, "zeros")
+    augment(h, "uniform")
     assert np.allclose(h.belief(2), 0.5, atol=1e-15)
     assert h.horizon == 2
 
@@ -74,12 +74,22 @@ def test_augment_prediction_warm_start():
     hmm = build_hmm([0.5, 0.5], ModelParams.from_matrices(
         A=np.array([[0.9, 0.1], [0.2, 0.8]]), B=B))
     h = MfaHistory(pin([0.0, np.log(3.0)]))  # pi = [0.25, 0.75]
-    pred = prediction_logits(hmm, h)
-    augment(h, "prediction", hmm=hmm)
+    pred = prediction_logits(hmm, h.belief(1))
+    augment(h, "prediction", hmm=hmm, belief=h.belief(1))
     # hand computation: B^T . [0.25, 0.75] = [0.475, 0.525]
     expect = np.array([0.475, 0.525])
     assert np.allclose(h.belief(2), expect / expect.sum(), atol=1e-12)
     assert pred[0] == 0.0
+
+
+def test_augment_rejects_unknown_rules_and_missing_prediction_inputs():
+    hmm = random_hmm(2, 2, seed=0)
+    h = MfaHistory(pin([0.0, 0.4]))
+    for rule, kwargs in [("zeros", {}), ("prediction", {"hmm": hmm}),
+                         ("prediction", {"belief": h.belief(1)})]:
+        with pytest.raises(ConstraintError):
+            augment(h, rule, **kwargs)
+    assert h.horizon == 1
 
 
 def test_augment_freezing_bit_identical():

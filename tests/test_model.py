@@ -10,13 +10,12 @@ from vfe_stream.model import (
     Trajectory,
     build_hmm,
     hmm_from_config,
-    log_joint,
     log_softmax_row,
     sample_trajectory,
     softmax_row,
 )
 
-from helpers import near_identity_params
+from helpers import log_joint, near_identity_params
 
 
 def test_softmax_row_symmetry():
