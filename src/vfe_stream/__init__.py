@@ -41,8 +41,6 @@ from .mfa import (
     MfaHistory,
     augment,
     full_q,
-    hat_elbo,
-    pairwise_tables_from_history,
 )
 from .elbo import (
     ElboSummaries,
@@ -90,8 +88,6 @@ __all__ = [
     "MfaHistory",
     "augment",
     "full_q",
-    "hat_elbo",
-    "pairwise_tables_from_history",
     "ElboSummaries",
     "ThetaGrad",
     "elbo_recursive",

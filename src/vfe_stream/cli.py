@@ -162,13 +162,28 @@ class ExperimentConfig:
                                 init_rule=init_rule, oracle=oracle, out=out)
 
 
+def _lines(path: str):
+    """The lines of the UTF-8 text file at path, read as it goes.  A file
+    that cannot be read so (missing, a directory, not UTF-8) raises a
+    ConfigError that names it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise ConfigError(f"{path}: cannot read ({reason})") from exc
+
+
+def _load_json(path: str):
+    """The JSON document in the file at path."""
+    try:
+        return json.loads("".join(_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return ExperimentConfig.parse(doc)
+    return ExperimentConfig.parse(_load_json(path))
 
 
 def _out_path(cfg: ExperimentConfig, key: str, out_dir: str, default: str) -> str:
@@ -210,27 +225,26 @@ def read_observations(path: str, M: int) -> list:
     consecutive t from 1.  A states file (any line carrying "s" or the
     ground-truth marker) is rejected so fits cannot consume ground truth."""
     out = []
-    with open(path) as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{i}: invalid JSON ({exc})") from exc
-            if not isinstance(doc, dict) or set(doc) != {"t", "o"}:
-                raise ConfigError(f"{path}:{i}: expected exactly t and o fields")
-            t, o = doc["t"], doc["o"]
-            # JSON integers only: int() would take 1.9, "2" or true
-            if (not isinstance(t, int) or isinstance(t, bool)
-                    or not isinstance(o, int) or isinstance(o, bool)):
-                raise ConfigError(f"{path}:{i}: t and o must be integers")
-            if t != len(out) + 1:
-                raise ConfigError(f"{path}:{i}: t must be consecutive from 1")
-            if not 1 <= o <= M:
-                raise ConfigError(f"{path}:{i}: o out of range 1..{M}")
-            out.append(o)
+    for i, line in enumerate(_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{i}: invalid JSON ({exc})") from exc
+        if not isinstance(doc, dict) or set(doc) != {"t", "o"}:
+            raise ConfigError(f"{path}:{i}: expected exactly t and o fields")
+        t, o = doc["t"], doc["o"]
+        # JSON integers only: int() would take 1.9, "2" or true
+        if (not isinstance(t, int) or isinstance(t, bool)
+                or not isinstance(o, int) or isinstance(o, bool)):
+            raise ConfigError(f"{path}:{i}: t and o must be integers")
+        if t != len(out) + 1:
+            raise ConfigError(f"{path}:{i}: t must be consecutive from 1")
+        if not 1 <= o <= M:
+            raise ConfigError(f"{path}:{i}: o out of range 1..{M}")
+        out.append(o)
     return out
 
 
@@ -276,7 +290,7 @@ def _evaluate_candidate(cfg: ExperimentConfig, observations: list) -> dict:
         # the streaming value the run actually attained; re-scoring frozen
         # early beliefs at the final parameters would charge them for
         # parameter movement they could not have seen
-        objective = elbo_mod.finish(state.summaries, state.marginals.curr)
+        objective = elbo_mod.finish(state.summaries)
     log_evidence = forward_filter(state.hmm, observations).log_evidence
     return {
         "objective": objective,
@@ -502,21 +516,14 @@ def main(argv=None) -> int:
             if args.command == "generate":
                 return cmd_generate(cfg, args.out, args.quiet)
             return cmd_fit(cfg, args.data, args.out, args.quiet)
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        doc = _load_json(args.config)
         if args.command == "compare":
             return cmd_compare(doc, args.out, args.quiet, args.data)
-        if args.seed is not None:
+        if args.seed is not None and isinstance(doc, dict):
             doc["seed"] = args.seed
         return cmd_gradcheck(doc, args.out, args.quiet)
     except (ConfigError, ConstraintError, GuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON in {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -31,13 +31,18 @@ after its psi phase and before its theta phase, which steps along
 theta_gradient(g_tau, pi_{tau-1}, pi_tau, o_tau).
 
 Cost per fold step is O(K^2 + dim(theta)), independent of tau, which is the
-whole point: the learner carries (V, g) across observations instead of
-recomputing the fold.  The fold step's arithmetic lives in kernel.fold_step;
-the step functions here check the time step and the observation around it
-and take the final marginals they need as arrays, not the history: the
-learner passes the ones its one normalisation pass per ingest gave.  The
-audit path recomputes everything from scratch.  It reads the history as
-its array of rows (MfaHistory.rows, the checkpoint's layout):
+whole point: the learner carries the summaries across observations instead
+of recomputing the fold.  What it carries is one record, ElboSummaries: V_t
+and g_t with the final marginals of the rows written at t, pi_{t-1}, pi_t
+and ln pi_t.  The next step reads everything it needs of time t from that
+record: the augmentation predicts from pi_t, the psi phase and the fold read
+ln pi_t as the superseded log marginal, and the g carry reads pi_{t-1}.
+The fold step's arithmetic lives in kernel.fold_step.  The step functions
+(step_inputs, carried_gradient, base_summaries, step_summaries, finish) take
+the record and the marginals of the newest rows as arrays, never the
+history, and the live learner and the audit fold call the same ones.  The
+audit path recomputes everything from scratch.  It reads the history as its
+array of rows (MfaHistory.rows, the checkpoint's layout):
 scratch_summaries, grad_psi and grad_theta normalise every row in one call
 and feed the same step functions, and grad_psi and grad_theta evaluate the
 kernel's gradients, the ones the learner ascends, at inputs refolded
@@ -111,70 +116,65 @@ def params_from_free(space: StateSpace, vec: np.ndarray) -> ModelParams:
 
 @dataclass(frozen=True)
 class ElboSummaries:
-    """The summaries at time t, carried between time steps by the streaming
-    learner: the K-vector V and g, the flat theta gradient of every term
-    before time t (zero at t = 1)."""
+    """The one record the streaming learner carries from time t to t + 1:
+    the summaries at time t and the final marginals of the rows written at
+    t.  v is V_t; g (K*M + K*K,) the flat theta gradient of every term
+    before time t (zero at t = 1); pi_prev is pi_{t-1}, the marginal of the
+    revision row (None at t = 1); pi and log_pi are pi_t and ln pi_t, the
+    marginal of the row for time t, which step t + 1 reads as the
+    superseded marginal of t."""
 
     v: np.ndarray
-    g: np.ndarray  # (K*M + K*K,)
+    g: np.ndarray
     t: int
+    pi_prev: Optional[np.ndarray]
+    pi: np.ndarray
+    log_pi: np.ndarray
 
 
-def base_summaries(hmm: GenerativeHMM, log_pi1: np.ndarray,
-                   o1: int) -> ElboSummaries:
-    """Summaries at t = 1 for observation value o1 (1-based), given the log
-    marginal ln pi_1."""
-    o_idx = int(o1) - 1
+def _observation_index(hmm: GenerativeHMM, o: int) -> int:
+    o_idx = int(o) - 1
     if not 0 <= o_idx < hmm.M:
         raise ConstraintError(f"observation values must lie in 1..{hmm.M}")
-    v = hmm.log_mu() + hmm.log_A[:, o_idx] - log_pi1
-    return ElboSummaries(v=v, g=np.zeros(hmm.K * hmm.M + hmm.K * hmm.K), t=1)
+    return o_idx
 
 
-def carried_gradient(prev: ElboSummaries, pa: Optional[np.ndarray],
-                     pb: np.ndarray, theta: np.ndarray,
+def base_summaries(hmm: GenerativeHMM, p: np.ndarray, log_p: np.ndarray,
+                   o: int) -> ElboSummaries:
+    """The record at t = 1 for observation value o (1-based), given the
+    marginal p = pi_1 and its log."""
+    v = hmm.log_mu() + hmm.log_A[:, _observation_index(hmm, o)] - log_p
+    return ElboSummaries(v=v, g=np.zeros(hmm.K * hmm.M + hmm.K * hmm.K), t=1,
+                         pi_prev=None, pi=p, log_pi=log_p)
+
+
+def carried_gradient(prev: ElboSummaries, pb: np.ndarray, theta: np.ndarray,
                      o_prev: int) -> np.ndarray:
     """g at time prev.t + 1: prev.g plus the gradient of time prev.t's
     terms at the flat theta, given that time's observation value o_prev
-    (1-based) and the final marginals pa of prev.t - 1 (None at
-    prev.t = 1) and pb of prev.t."""
-    return kernel.theta_gradient(prev.g, pa, pb, int(o_prev) - 1)(theta)
+    (1-based), its final marginal pb (the revision written at prev.t + 1)
+    and prev.pi_prev, the final marginal of prev.t - 1."""
+    return kernel.theta_gradient(prev.g, prev.pi_prev, pb,
+                                 int(o_prev) - 1)(theta)
 
 
-def step_summaries(prev: ElboSummaries, hmm: GenerativeHMM, t: int, o_t: int,
-                   log_w: np.ndarray, log_curr: np.ndarray,
-                   log_sup: np.ndarray, g: np.ndarray) -> ElboSummaries:
-    """One fold step: advance V from time t-1 to time t, and take g, the
-    carried gradient at time t.  log_w, log_curr and log_sup are the log
-    marginals of the step: the revision of t - 1, the current row of t and
-    the superseded row of t - 1."""
-    if prev.t != t - 1:
-        raise ConstraintError(f"summaries are at t = {prev.t}, expected {t - 1}")
-    o_idx = int(o_t) - 1
-    if not 0 <= o_idx < hmm.M:
-        raise ConstraintError(f"observation values must lie in 1..{hmm.M}")
-    v = fold_step(prev.v, log_w, log_curr, log_sup, hmm.log_A, hmm.log_B, o_idx)
-    return ElboSummaries(v=v, g=g, t=t)
+def step_summaries(prev: ElboSummaries, hmm: GenerativeHMM, o: int,
+                   p: np.ndarray, log_p: np.ndarray,
+                   g: np.ndarray) -> ElboSummaries:
+    """One fold step: the record at t = prev.t + 1, for observation value o
+    and g, the carried gradient at t.  p and log_p are the (2, K)
+    marginals of the rows written at t, the revision of t - 1 and the row
+    for t, and their logs; the superseded log marginal of t - 1 is
+    prev.log_pi."""
+    v = fold_step(prev.v, log_p[0], log_p[1], prev.log_pi, hmm.log_A,
+                  hmm.log_B, _observation_index(hmm, o))
+    return ElboSummaries(v=v, g=g, t=prev.t + 1, pi_prev=p[0], pi=p[1],
+                         log_pi=log_p[1])
 
 
-def streaming_update_summaries(prev: ElboSummaries, observation: int,
-                               hmm: GenerativeHMM, log_w: np.ndarray,
-                               log_curr: np.ndarray, log_sup: np.ndarray,
-                               g: np.ndarray) -> ElboSummaries:
-    """Advance carried summaries one time step, to prev.t + 1, given that
-    step's final log marginals (as step_summaries takes them).
-
-    The result is bit-identical to recomputing the whole fold as long as
-    theta and the frozen blocks are unchanged, because it is the same step
-    function applied once.
-    """
-    return step_summaries(prev, hmm, prev.t + 1, observation, log_w, log_curr,
-                          log_sup, g)
-
-
-def finish(summaries: ElboSummaries, pi: np.ndarray) -> float:
-    """Contract a summary against the newest marginal: L = pi_tau . V_tau."""
-    return float(pi @ summaries.v)
+def finish(s: ElboSummaries) -> float:
+    """Contract a record against its newest marginal: L = pi_t . V_t."""
+    return float(s.pi @ s.v)
 
 
 def _checked_observations(hmm: GenerativeHMM, history: MfaHistory,
@@ -192,12 +192,11 @@ def _fold(hmm: GenerativeHMM, p: np.ndarray, log_p: np.ndarray,
     and log marginals log_p of the stored rows (MfaHistory.rows' layout)
     for the 1-based observations o, one per time step."""
     theta = params_vector(hmm.params)
-    s = base_summaries(hmm, log_p[0], int(o[0]))
+    s = base_summaries(hmm, p[0], log_p[0], int(o[0]))
     for t in range(2, o.shape[0] + 1):
-        g = carried_gradient(s, p[2 * t - 5] if t > 2 else None, p[2 * t - 3],
-                             theta, int(o[t - 2]))
-        s = step_summaries(s, hmm, t, int(o[t - 1]), log_p[2 * t - 3],
-                           log_p[2 * t - 2], log_p[2 * t - 4], g)
+        rows = slice(2 * t - 3, 2 * t - 1)  # written at t
+        g = carried_gradient(s, p[2 * t - 3], theta, int(o[t - 2]))
+        s = step_summaries(s, hmm, int(o[t - 1]), p[rows], log_p[rows], g)
     return s
 
 
@@ -235,18 +234,15 @@ def elbo_recursive(hmm: GenerativeHMM, history: MfaHistory,
 
 
 def step_inputs(hmm: GenerativeHMM, prev: Optional[ElboSummaries],
-                log_sup: Optional[np.ndarray], o_t: int) -> tuple:
+                o: int) -> tuple:
     """(W, G) for kernel.psi_gradient at the current horizon: W folds the V
-    of prev, the summaries at tau - 1, with log_sup, the superseded log
+    of prev, the record at tau - 1, with its ln pi, the superseded log
     marginal of tau - 1; G is the fresh transition-plus-emission table.  At
-    horizon 1 (prev and log_sup None) W is ln mu + ln A[:, o] and G is
-    None."""
-    o_idx = int(o_t) - 1
+    horizon 1 (prev None) W is ln mu + ln A[:, o] and G is None."""
+    o_idx = int(o) - 1
     if prev is None:
         return hmm.log_mu() + hmm.log_A[:, o_idx], None
-    W = prev.v + log_sup
-    G = hmm.log_B + hmm.log_A[:, o_idx][None, :]
-    return W, G
+    return prev.v + prev.log_pi, hmm.log_B + hmm.log_A[:, o_idx][None, :]
 
 
 def grad_theta(hmm: GenerativeHMM, history: MfaHistory,
@@ -254,10 +250,8 @@ def grad_theta(hmm: GenerativeHMM, history: MfaHistory,
     """Exact parameter gradient of elbo_recursive at the current theta:
     kernel.theta_gradient at the g of scratch_summaries."""
     o = _checked_observations(hmm, history, observations) + 1
-    p, log_p = softmax_and_log(history.rows)
-    s = _fold(hmm, p, log_p, o)
-    gradient = kernel.theta_gradient(s.g, p[-2] if history.horizon > 1
-                                     else None, p[-1], int(o[-1]) - 1)
+    s = _fold(hmm, *softmax_and_log(history.rows), o)
+    gradient = kernel.theta_gradient(s.g, s.pi_prev, s.pi, int(o[-1]) - 1)
     dense = gradient(params_vector(hmm.params))
     return ThetaGrad(*kernel.theta_rows(dense, hmm.K, hmm.M))
 
@@ -273,13 +267,12 @@ def grad_psi(hmm: GenerativeHMM, history: MfaHistory,
     frozen-row coordinates are not emitted at all.
     """
     o = _checked_observations(hmm, history, observations) + 1
-    prev = log_sup = None
+    prev = None
     if history.horizon > 1:
         # the rows below the newest snapshot's are the prefix at tau - 1
         p, log_p = softmax_and_log(history.rows)
         prev = _fold(hmm, p[:-2], log_p[:-2], o[:-1])
-        log_sup = log_p[-3]
     x = history.updatable_logits()
-    W, G = step_inputs(hmm, prev, log_sup, int(o[-1]))
+    W, G = step_inputs(hmm, prev, int(o[-1]))
     g = kernel.psi_gradient(W, G, *x.shape)(x.ravel())
     return g.reshape(x.shape)[:, 1:].ravel()

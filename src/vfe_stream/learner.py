@@ -6,14 +6,17 @@ gradient g one step on, run a fixed budget on the model parameters (using
 the just-updated beliefs), then fold V and append a trace record.
 Per-observation cost is constant in tau.
 
-Each stored row is normalised once.  The one softmax-and-log pass of an
-ingest covers the rows the psi phase wrote, and gives the final marginals
-pi_{tau-1} and pi_tau with their logs.  The learner carries pi_{tau-1},
-pi_tau and ln pi_tau (Marginals) to the next ingest, whose augmentation
-predicts from pi_tau, whose psi phase and fold read ln pi_tau as the
-superseded log marginal, and whose g carry reads pi_{tau-1}.  Every
-consumer in the ingest (the g carry, the theta phase, the fold, finish and
-the oracles' filter_l1) reads these arrays, not the history.
+What one ingest carries to the next is (hmm, history, summaries,
+observations, stalls_total), each held once, on LearnerState.  The
+summaries are one record, elbo.ElboSummaries: V and g at tau with the
+final marginals pi_{tau-1}, pi_tau and ln pi_tau, which the ingest's one
+softmax-and-log pass over the rows the psi phase wrote gives.  The next
+ingest's augmentation, psi phase, g carry and fold read them from that
+record, so no stored row is normalised twice.  tau is the number of
+observations and the parameters are the model's; neither is stored apart.
+An ingest stores the model, summaries and stall count once, after its last
+step that can fail, so a failed one has only its observation and its
+history rows to drop.
 
 The two ascent loops run in kernel on plain arrays.  Values are validated
 where they enter, once: mu and the starting parameters in init_learner, and
@@ -41,7 +44,7 @@ import itertools
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -132,28 +135,16 @@ class StreamTrace:
             ]))
         return "\n".join(lines) + "\n"
 
-    def column(self, name: str) -> list:
-        return [getattr(r, name) for r in self.records]
-
-
-class Marginals(NamedTuple):
-    """The final marginals at the end of the ingest of tau: pi_{tau-1}
-    (None at tau = 1), pi_tau and ln pi_tau.  The ingest's one
-    normalisation pass gives them; the next ingest reads them back instead
-    of normalising the same rows again."""
-
-    prev: Optional[np.ndarray]
-    curr: np.ndarray
-    log_curr: np.ndarray
-
 
 @dataclass
 class LearnerState:
-    """Mutable stream state: current model, belief history, carried
-    summaries and marginals, accumulated observations and stall count."""
+    """Mutable stream state.  What is carried from one ingest to the next
+    is hmm (the current model, mu and parameters), history (the belief
+    rows), summaries (the record of the newest time step, None before the
+    first), observations and stalls_total; with the settings, these values
+    alone determine every later ingest.  ref_pred and ref_logz carry the
+    reference oracle's filter."""
 
-    mu: np.ndarray
-    params: ModelParams
     hmm: GenerativeHMM
     schedule: Schedule
     family: MfaFamily = MfaFamily.REVERSED
@@ -162,12 +153,18 @@ class LearnerState:
     reference: Optional[GenerativeHMM] = None
     history: Optional[MfaHistory] = None
     summaries: Optional[elbo_mod.ElboSummaries] = None
-    marginals: Optional[Marginals] = None
-    tau: int = 0
     observations: list = field(default_factory=list)
     stalls_total: int = 0
     ref_pred: Optional[np.ndarray] = None
     ref_logz: float = 0.0
+
+    @property
+    def tau(self) -> int:
+        return len(self.observations)
+
+    @property
+    def params(self) -> ModelParams:
+        return self.hmm.params
 
 
 def init_learner(params: ModelParams, mu, schedule: Schedule,
@@ -185,9 +182,9 @@ def init_learner(params: ModelParams, mu, schedule: Schedule,
     if not (hmm.mu > 0.0).all():
         # beliefs put mass on every state: the objective would be -inf
         raise ConstraintError("the learner needs every mu entry > 0")
-    state = LearnerState(mu=hmm.mu, params=params, hmm=hmm, schedule=schedule,
-                         family=family, init_rule=init_rule,
-                         oracle_mode=oracle_mode, reference=reference)
+    state = LearnerState(hmm=hmm, schedule=schedule, family=family,
+                         init_rule=init_rule, oracle_mode=oracle_mode,
+                         reference=reference)
     if reference is not None:
         state.ref_pred = reference.mu.copy()
     return state
@@ -195,44 +192,42 @@ def init_learner(params: ModelParams, mu, schedule: Schedule,
 
 def _first_block(state: LearnerState) -> np.ndarray:
     if state.init_rule == "prediction":
-        logits = np.log(state.mu)
+        logits = np.log(state.hmm.mu)
         return logits - logits[0]
     return np.zeros(state.hmm.K)
 
 
-def _psi_phase(state: LearnerState, o: int, last: Optional[Marginals]) -> int:
-    """Ascent on the updatable rows; returns applied update count.  last
-    holds the marginals of the previous ingest (None at tau = 1)."""
+def _psi_phase(state: LearnerState, o: int) -> tuple:
+    """Ascent on the updatable rows from the record of tau - 1 (None at
+    tau = 1); stores the rows in the history and returns (applied,
+    stalled)."""
     sched, hist = state.schedule, state.history
-    log_sup = None if last is None else last.log_curr
-    W, G = elbo_mod.step_inputs(state.hmm, state.summaries, log_sup, o)
+    W, G = elbo_mod.step_inputs(state.hmm, state.summaries, o)
     x, applied, stalled = kernel.psi_ascent(
         hist.updatable_logits(), W, G, sched.psi_updates_per_obs,
         sched.psi_step)
-    state.stalls_total += stalled
     hist.set_updatable(x)
-    return applied
+    return applied, stalled
 
 
 def _theta_phase(state: LearnerState, o: int, theta: np.ndarray,
                  g: np.ndarray, pa: Optional[np.ndarray],
-                 pb: np.ndarray) -> int:
+                 pb: np.ndarray) -> tuple:
     """Ascent on the flat parameters theta using the just-updated beliefs
     pa (None at tau = 1) and pb; the carried gradient g is fixed, the fresh
-    final-step part tracks the moving parameters.  The parameters are
-    validated and the model rebuilt once, when the loop exits."""
-    sched = state.schedule
+    final-step part tracks the moving parameters.  Returns (hmm, applied,
+    stalled): the parameters are validated and the model rebuilt once,
+    when the loop exits, and only when a step was applied."""
+    sched, hmm = state.schedule, state.hmm
     if sched.theta_updates_per_obs == 0:
-        return 0
-    K, M = state.hmm.K, state.hmm.M
+        return hmm, 0, False
     theta, applied, stalled = kernel.theta_ascent(
         theta, g, pa, pb, o - 1, sched.theta_updates_per_obs,
         sched.theta_step / state.tau)
-    state.stalls_total += stalled
     if applied:
-        state.params = ModelParams(*kernel.theta_rows(theta, K, M))
-        state.hmm = build_hmm(state.mu, state.params)
-    return applied
+        hmm = build_hmm(hmm.mu, ModelParams(*kernel.theta_rows(theta, hmm.K,
+                                                                hmm.M)))
+    return hmm, applied, stalled
 
 
 def ingest(state: LearnerState, observation: int) -> TraceRecord:
@@ -241,10 +236,12 @@ def ingest(state: LearnerState, observation: int) -> TraceRecord:
 
     The observation must be an integer (a Python or numpy one, not a bool)
     in 1..M; anything else raises ConstraintError before the state changes.
-    All or nothing: when any later step fails, the state is put back as it
-    was before the call and the error is raised again: a ConstraintError
-    with the failing tau prepended to its message, any other error
-    unchanged.
+    All or nothing: the observation and the history's newest rows are
+    written as the call goes, and the model, summaries, stall count and
+    reference filter are stored once, after the last step that can fail.
+    When a step fails, the observation and the rows are dropped and the
+    error is raised again: a ConstraintError with the failing tau
+    prepended to its message, any other error unchanged.
     """
     t_start = time.perf_counter()
     if isinstance(observation, bool) \
@@ -256,84 +253,77 @@ def ingest(state: LearnerState, observation: int) -> TraceRecord:
     if not 1 <= o <= state.hmm.M:
         raise ConstraintError(
             f"observation {o} out of range 1..{state.hmm.M} at tau={state.tau + 1}")
-    last = state.marginals
-    saved = (state.params, state.hmm, state.summaries, last, state.stalls_total)
-    state.tau += 1
+    prev = state.summaries
     state.observations.append(o)
     try:
-        if state.tau == 1:
+        if prev is None:
             state.history = MfaHistory(_first_block(state))
         else:
-            augment(state.history, state.init_rule, state.hmm, last.curr)
-        psi_applied = _psi_phase(state, o, last)
+            augment(state.history, state.init_rule, state.hmm, prev.pi)
+        psi_applied, psi_stalled = _psi_phase(state, o)
         # the one normalisation pass: the rows psi wrote, (revision of
         # tau - 1, current of tau) or the one row at tau = 1
         p, log_p = softmax_and_log(state.history.updatable_logits())
-        pa = p[0] if state.tau > 1 else None
-        theta = elbo_mod.params_vector(state.params)
-        if state.tau == 1:
+        pa = None if prev is None else p[0]
+        theta = elbo_mod.params_vector(state.hmm.params)
+        if prev is None:
             g = np.zeros_like(theta)
         else:
             # at theta_{tau-1}, with the belief of tau - 1 now final
-            g = elbo_mod.carried_gradient(state.summaries, last.prev, pa,
-                                          theta, state.observations[-2])
-        theta_applied = _theta_phase(state, o, theta, g, pa, p[-1])
-        if state.tau == 1:
-            state.summaries = elbo_mod.base_summaries(state.hmm, log_p[0], o)
+            g = elbo_mod.carried_gradient(prev, pa, theta,
+                                          state.observations[-2])
+        hmm, theta_applied, theta_stalled = _theta_phase(state, o, theta, g,
+                                                         pa, p[-1])
+        if prev is None:
+            summaries = elbo_mod.base_summaries(hmm, p[0], log_p[0], o)
         else:
-            state.summaries = elbo_mod.streaming_update_summaries(
-                state.summaries, o, state.hmm, log_p[0], log_p[1],
-                last.log_curr, g)
-        state.marginals = Marginals(pa, p[-1], log_p[-1])
+            summaries = elbo_mod.step_summaries(prev, hmm, o, p, log_p, g)
 
         log_evidence = gap = filter_l1 = None
-        elbo_value = elbo_mod.finish(state.summaries, p[-1])
+        elbo_value = elbo_mod.finish(summaries)
         if state.oracle_mode == "self":
-            filt = forward_filter(state.hmm, state.observations)
-            exact, _ = elbo_mod.elbo_recursive(state.hmm, state.history,
+            filt = forward_filter(hmm, state.observations)
+            exact, _ = elbo_mod.elbo_recursive(hmm, state.history,
                                                state.observations)
             elbo_value = exact
             log_evidence = filt.log_evidence
             gap = log_evidence - exact
-            filter_l1 = float(np.abs(p[-1] - filt.marginals[-1]).sum())
+            filter_l1 = float(np.abs(summaries.pi - filt.marginals[-1]).sum())
         elif state.oracle_mode == "reference":
             ref = state.reference
             w = state.ref_pred * ref.A[:, o - 1]
             c = float(w.sum())
             marg = w / c
             log_evidence = state.ref_logz + float(np.log(c))
-            filter_l1 = float(np.abs(p[-1] - marg).sum())
-            # written last, after every step that can fail: the rollback
-            # does not restore them
-            state.ref_logz = log_evidence
-            state.ref_pred = ref.B.T @ marg
+            filter_l1 = float(np.abs(summaries.pi - marg).sum())
+            ref_pred = ref.B.T @ marg
     except ConstraintError as exc:
-        _roll_back(state, saved)
+        _roll_back(state)
         raise ConstraintError(f"ingest failed at tau={state.tau + 1}: {exc}") from exc
     except Exception:
-        _roll_back(state, saved)
+        _roll_back(state)
         raise
 
+    stalls = psi_stalled + theta_stalled
+    state.hmm, state.summaries = hmm, summaries
+    state.stalls_total += stalls
+    if state.oracle_mode == "reference":
+        state.ref_pred, state.ref_logz = ref_pred, log_evidence
     wall_ms = (time.perf_counter() - t_start) * 1000.0
     return TraceRecord(tau=state.tau, elbo=elbo_value, log_evidence=log_evidence,
                        gap=gap, filter_l1=filter_l1, psi_updates=psi_applied,
-                       theta_updates=theta_applied,
-                       stalls=state.stalls_total - saved[4],
+                       theta_updates=theta_applied, stalls=stalls,
                        wall_ms=wall_ms)
 
 
-def _roll_back(state: LearnerState, saved: tuple) -> None:
+def _roll_back(state: LearnerState) -> None:
     """Undo a failed ingest: drop its observation and the snapshot it
-    appended, and restore the model, summaries, marginals and stall
-    count."""
-    state.tau -= 1
+    appended; nothing else was stored."""
     state.observations.pop()
-    if state.tau == 0:
+    if not state.observations:
         state.history = None
     elif state.history.horizon > state.tau:
         state.history.drop_newest()
-    (state.params, state.hmm, state.summaries, state.marginals,
-     state.stalls_total) = saved
 
 
 @dataclass

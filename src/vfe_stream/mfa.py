@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .model import ConstraintError, GenerativeHMM, _check_values, softmax
+from .model import ConstraintError, GenerativeHMM, softmax
 from .oracle import ENUMERATION_GUARD, GuardError
 
 
@@ -159,15 +159,6 @@ class MfaHistory:
         if self.horizon < 2:
             raise ConstraintError("the starting snapshot cannot be dropped")
         self._n -= 2
-
-    def prefix(self) -> "MfaHistory":
-        """A copy at horizon tau - 1, the state before the last
-        augmentation: the time tau - 1 belief reverts to its snapshot row."""
-        if self.horizon < 2:
-            raise ConstraintError("no prefix below horizon 1")
-        out = MfaHistory(self._rows[0])
-        out._write(1, self._rows[1:self._n - 2])
-        return out
 
     def frozen_fingerprint(self) -> tuple:
         """Raw bytes of each row below the newest snapshot's; tests use this
@@ -300,64 +291,3 @@ def full_q(history: MfaHistory, family: MfaFamily = MfaFamily.REVERSED) -> FullQ
         for t in range(2, tau + 1):
             table = (table[:, None] * history.belief(t)[None, :]).reshape(-1)
     return FullQ(table=table, total_mass=float(table.sum()))
-
-
-# -- pairwise approximate objective -------------------------------------------
-
-def pairwise_tables_from_history(history: MfaHistory) -> list:
-    """The natural pairwise tables for a product-form state: a singleton for
-    t = 1 and outer products of consecutive final marginals for t >= 2."""
-    tables = [history.belief(1)]
-    for t in range(2, history.horizon + 1):
-        tables.append(np.outer(history.belief(t - 1), history.belief(t)))
-    return tables
-
-
-def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # 0 * log 0 = 0 by limit
-    out = np.zeros_like(x)
-    mask = x > 0.0
-    out[mask] = x[mask] * np.log(y[mask])
-    return out
-
-
-def hat_elbo(hmm: GenerativeHMM, pairwise_q: Sequence[np.ndarray],
-             observations: Sequence[int]) -> float:
-    """Sum of per-step pairwise expectations.
-
-    Term 1 is E_{q_1}[ln mu(s_1) A[s_1][o_1] - ln q_1(s_1)]; term t >= 2 is
-    E_{q_t(s_{t-1}, s_t)}[ln B[s_{t-1}][s_t] A[s_t][o_t] - ln d_t] with the
-    denominator d_t the forward conditional q_t(s_t | s_{t-1}) of the table.
-    Dividing by the conditional charges each time step's uncertainty exactly once
-    across the overlapping pairs, so on product-form tables the sum equals
-    the exact objective of the corresponding product distribution and can
-    never exceed it.  The learner does not call this; it is the reference
-    the streaming objective is checked against.
-    """
-    o = _check_values(observations, hmm.M, "observation")
-    tau = o.shape[0]
-    if len(pairwise_q) != tau:
-        raise ConstraintError("need exactly one table per observation")
-    q1 = np.asarray(pairwise_q[0], dtype=float)
-    if q1.shape != (hmm.K,):
-        raise ConstraintError("table 1 must be a singleton over s_1")
-    _check_table(q1)
-    total = float(np.sum(q1 * (hmm.log_mu() + hmm.log_A[:, o[0]]))
-                  - np.sum(_xlogy(q1, q1)))
-    for t in range(2, tau + 1):
-        Q = np.asarray(pairwise_q[t - 1], dtype=float)
-        if Q.shape != (hmm.K, hmm.K):
-            raise ConstraintError(f"table {t} must be K x K")
-        _check_table(Q)
-        total += float(np.sum(Q * (hmm.log_B + hmm.log_A[:, o[t - 1]][None, :])))
-        rows = Q.sum(axis=1, keepdims=True)
-        cond = np.divide(Q, rows, out=np.zeros_like(Q), where=rows > 0.0)
-        total -= float(np.sum(_xlogy(Q, np.where(cond > 0.0, cond, 1.0))))
-    return total
-
-
-def _check_table(Q: np.ndarray) -> None:
-    if np.any(Q < -1e-12) or not np.all(np.isfinite(Q)):
-        raise ConstraintError("pairwise table has negative or non-finite mass")
-    if abs(Q.sum() - 1.0) > 1e-8:
-        raise ConstraintError("pairwise table must sum to 1 within 1e-8")

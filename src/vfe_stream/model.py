@@ -23,10 +23,23 @@ class ConstraintError(ValueError):
     """A structural invariant (pinning, simplex, shape, finiteness) is violated."""
 
 
-def _frozen(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _frozen(a) -> np.ndarray:
+    out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
+
+
+def _numbers(a, what: str) -> np.ndarray:
+    """a as a read-only float array, if it is a regular array of numbers:
+    a string or a ragged list raises ConstraintError, and a string of
+    digits is not taken for its number."""
+    try:
+        x = np.asarray(a)
+    except ValueError as exc:  # ragged nesting
+        raise ConstraintError(f"{what} must be a regular array of numbers") from exc
+    if x.dtype.kind not in "iuf":
+        raise ConstraintError(f"{what} must be a regular array of numbers")
+    return _frozen(x)
 
 
 def softmax_row(logits) -> np.ndarray:
@@ -66,16 +79,6 @@ def softmax_and_log(z: np.ndarray) -> tuple:
     return e / s, z - np.log(s)
 
 
-def log_softmax_row(logits) -> np.ndarray:
-    """Logarithm of softmax_row, computed without forming the probabilities."""
-    z = np.asarray(logits, dtype=float)
-    if z.ndim != 1 or z.size == 0:
-        raise ConstraintError("logits must form a non-empty 1-d row")
-    if not np.isfinite(z).all():
-        raise ConstraintError("non-finite logits")
-    return log_softmax(z)
-
-
 @dataclass(frozen=True)
 class StateSpace:
     """Problem dimensions: K hidden-state values and M observation symbols."""
@@ -111,8 +114,8 @@ class ModelParams:
     beta_tilde: np.ndarray
 
     def __post_init__(self):
-        at = _frozen(self.alpha_tilde)
-        bt = _frozen(self.beta_tilde)
+        at = _numbers(self.alpha_tilde, "alpha_tilde")
+        bt = _numbers(self.beta_tilde, "beta_tilde")
         if at.ndim != 2 or bt.ndim != 2:
             raise ConstraintError("alpha_tilde and beta_tilde must be 2-d")
         if bt.shape[0] != bt.shape[1]:
@@ -148,8 +151,7 @@ class ModelParams:
         """Convert stochastic matrices to pinned logits via row-wise log and
         first-entry subtraction.  Rows must be strictly positive and sum to 1
         within 1e-8."""
-        A = np.asarray(A, dtype=float)
-        B = np.asarray(B, dtype=float)
+        A, B = _numbers(A, "A"), _numbers(B, "B")
         for name, mat in (("A", A), ("B", B)):
             if mat.ndim != 2:
                 raise ConstraintError(f"{name} must be 2-d")
@@ -190,10 +192,6 @@ class GenerativeHMM:
     def M(self) -> int:
         return self.params.M
 
-    @property
-    def space(self) -> StateSpace:
-        return StateSpace(self.K, self.M)
-
     def log_mu(self) -> np.ndarray:
         # mu may contain exact zeros; log(0) = -inf is the correct limit
         with np.errstate(divide="ignore"):
@@ -206,7 +204,7 @@ def build_hmm(mu, params: ModelParams) -> GenerativeHMM:
     Errors on violated pinning or a non-simplex mu; nothing is repaired
     silently.
     """
-    mu = _frozen(mu)
+    mu = _numbers(mu, "mu")
     if mu.ndim != 1 or mu.shape[0] != params.K:
         raise ConstraintError("mu must be a length-K vector")
     if not np.isfinite(mu).all() or (mu < 0.0).any():
@@ -240,9 +238,6 @@ class Trajectory:
             raise ConstraintError("states and observations must have equal length")
         object.__setattr__(self, "states", s)
         object.__setattr__(self, "observations", o)
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 def _draw(rng, probs: np.ndarray) -> int:
@@ -307,8 +302,7 @@ def hmm_from_config(doc: dict) -> GenerativeHMM:
     if has_logits:
         if "alpha_tilde" not in doc or "beta_tilde" not in doc:
             raise ConstraintError("alpha_tilde and beta_tilde must be given together")
-        params = ModelParams(np.asarray(doc["alpha_tilde"], dtype=float),
-                             np.asarray(doc["beta_tilde"], dtype=float))
+        params = ModelParams(doc["alpha_tilde"], doc["beta_tilde"])
     elif has_matrices:
         if "A" not in doc or "B" not in doc:
             raise ConstraintError("A and B must be given together")
@@ -318,7 +312,7 @@ def hmm_from_config(doc: dict) -> GenerativeHMM:
     if params.K != space.K or params.M != space.M:
         raise ConstraintError("parameter shapes disagree with K/M")
     if "mu" in doc:
-        mu = np.asarray(doc["mu"], dtype=float)
+        mu = _numbers(doc["mu"], "mu")
         if mu.ndim != 1 or mu.shape[0] != space.K:
             raise ConstraintError("mu must be a length-K vector")
         if not np.all(np.isfinite(mu)) or np.any(mu < 0.0) or mu.sum() <= 0.0:

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from vfe_stream.model import (ModelParams, StateSpace, _check_values,
-                              build_hmm, log_softmax_row)
+from vfe_stream.model import (ConstraintError, ModelParams, StateSpace,
+                              _check_values, build_hmm, log_softmax)
 
 BIG = 30.0  # +-30 logits realize near-deterministic rows within 1e-12
 
@@ -55,7 +55,7 @@ def log_joint(hmm, trajectory) -> float:
 def block_psi_gradient(W, G, rho_prev, rho_curr) -> tuple:
     """Gradient of pi_a . (W - ln pi_a) + pi_a G pi_b - pi_b . ln pi_b over
     the two pinned logit blocks, with everything older held fixed."""
-    log_pa, log_pb = log_softmax_row(rho_prev), log_softmax_row(rho_curr)
+    log_pa, log_pb = log_softmax(rho_prev), log_softmax(rho_curr)
     pa, pb = np.exp(log_pa), np.exp(log_pb)
     ca = W + G @ pb - log_pa
     ga = pa * (ca - float(pa @ ca))
@@ -68,7 +68,7 @@ def block_psi_gradient(W, G, rho_prev, rho_curr) -> tuple:
 
 def block_psi_gradient_first(W, rho1) -> np.ndarray:
     """Horizon-1 case: gradient of pi . (W - ln pi) over the single block."""
-    log_p = log_softmax_row(rho1)
+    log_p = log_softmax(rho1)
     p = np.exp(log_p)
     c = W - log_p
     g = p * (c - float(p @ c))
@@ -108,3 +108,65 @@ def dense_u_step(u, w, A, B, o_idx: int) -> np.ndarray:
     if u is None:
         return dense_u_fresh(A, B, np.zeros(A.shape[0]), o_idx)
     return (w @ u)[None, :] + dense_u_fresh(A, B, w, o_idx)
+
+
+# -- pairwise approximate objective -------------------------------------------
+# The sum of per-step pairwise expectations, written from its definition.  No
+# learner path calls it; it is the reference the streaming objective is
+# checked against (acceptance check 5).
+
+def pairwise_tables_from_history(history) -> list:
+    """The natural pairwise tables for a product-form state: a singleton for
+    t = 1 and outer products of consecutive final marginals for t >= 2."""
+    tables = [history.belief(1)]
+    for t in range(2, history.horizon + 1):
+        tables.append(np.outer(history.belief(t - 1), history.belief(t)))
+    return tables
+
+
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # 0 * log 0 = 0 by limit
+    out = np.zeros_like(x)
+    mask = x > 0.0
+    out[mask] = x[mask] * np.log(y[mask])
+    return out
+
+
+def hat_elbo(hmm, pairwise_q, observations) -> float:
+    """Sum of per-step pairwise expectations.
+
+    Term 1 is E_{q_1}[ln mu(s_1) A[s_1][o_1] - ln q_1(s_1)]; term t >= 2 is
+    E_{q_t(s_{t-1}, s_t)}[ln B[s_{t-1}][s_t] A[s_t][o_t] - ln d_t] with the
+    denominator d_t the forward conditional q_t(s_t | s_{t-1}) of the table.
+    Dividing by the conditional charges each time step's uncertainty exactly once
+    across the overlapping pairs, so on product-form tables the sum equals
+    the exact objective of the corresponding product distribution and can
+    never exceed it.
+    """
+    o = _check_values(observations, hmm.M, "observation")
+    tau = o.shape[0]
+    if len(pairwise_q) != tau:
+        raise ConstraintError("need exactly one table per observation")
+    q1 = np.asarray(pairwise_q[0], dtype=float)
+    if q1.shape != (hmm.K,):
+        raise ConstraintError("table 1 must be a singleton over s_1")
+    _check_table(q1)
+    total = float(np.sum(q1 * (hmm.log_mu() + hmm.log_A[:, o[0]]))
+                  - np.sum(_xlogy(q1, q1)))
+    for t in range(2, tau + 1):
+        Q = np.asarray(pairwise_q[t - 1], dtype=float)
+        if Q.shape != (hmm.K, hmm.K):
+            raise ConstraintError(f"table {t} must be K x K")
+        _check_table(Q)
+        total += float(np.sum(Q * (hmm.log_B + hmm.log_A[:, o[t - 1]][None, :])))
+        rows = Q.sum(axis=1, keepdims=True)
+        cond = np.divide(Q, rows, out=np.zeros_like(Q), where=rows > 0.0)
+        total -= float(np.sum(_xlogy(Q, np.where(cond > 0.0, cond, 1.0))))
+    return total
+
+
+def _check_table(Q: np.ndarray) -> None:
+    if np.any(Q < -1e-12) or not np.all(np.isfinite(Q)):
+        raise ConstraintError("pairwise table has negative or non-finite mass")
+    if abs(Q.sum() - 1.0) > 1e-8:
+        raise ConstraintError("pairwise table must sum to 1 within 1e-8")

@@ -696,3 +696,96 @@ def test_untyped_config_field_exits_2(tmp_path, capsys, command, path, value):
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(os.listdir(tmp_path)) == before
+
+
+# -- unreadable inputs and model arrays that are not numbers ------------------
+
+_UNREADABLE = [
+    ("fit", "config", None),
+    ("fit", "data", None),
+    ("compare", "config", None),
+    ("compare", "data", None),
+    ("gradcheck", "config", None),
+    ("fit", "config", b"\xff{}\n"),
+    ("fit", "data", b"\xff\xfe\n"),
+    ("compare", "config", b"\xff{}\n"),
+    ("compare", "data", b'{"t": 1, "o": 1}\n\xff\xfe\n'),
+    ("gradcheck", "config", b"\xff{}\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,role,content", _UNREADABLE,
+    ids=[f"{c}-{r}-{'directory' if b is None else 'not-utf8'}"
+         for c, r, b in _UNREADABLE])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, command, role,
+                                       content):
+    # a directory or bytes that are not UTF-8 once ended in a traceback
+    gen = write_json(tmp_path / "gen.json", base_config(length=20))
+    run(["generate", "--config", gen, "--out", str(tmp_path), "--quiet"])
+    if command == "gradcheck":
+        doc = {"instances": 1}
+    elif command == "compare":
+        doc = {"candidates": [_candidate("a", dict(TRUTH_MODEL))]}
+    else:
+        doc = base_config(length=20)
+    paths = {"config": write_json(tmp_path / "c.json", doc),
+             "data": str(tmp_path / "data.jsonl")}
+    bad = tmp_path / "bad"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    paths[role] = str(bad)
+    out = tmp_path / "out"
+    argv = [command, "--config", paths["config"], "--out", str(out), "--quiet"]
+    if command != "gradcheck":
+        argv += ["--data", paths["data"]]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: cannot read (")
+    assert not out.exists()
+
+
+def test_gradcheck_seed_flag_on_a_non_object_config_exits_2(tmp_path, capsys):
+    cfgp = write_json(tmp_path / "g.json", [])
+    assert run(["gradcheck", "--config", cfgp, "--out", str(tmp_path / "out"),
+                "--seed", "3", "--quiet"]) == 2
+    assert capsys.readouterr().err == \
+        "error: gradcheck config must be an object\n"
+    assert not (tmp_path / "out").exists()
+
+
+_LOGITS = {"K": 2, "M": 2, "alpha_tilde": [[0, 1], [0, -1]],
+           "beta_tilde": [[0, 0.5], [0, -0.5]]}
+_UNNUMBERED = [
+    (TRUTH_MODEL, "mu", "abc"),
+    (TRUTH_MODEL, "mu", ["0.5", "0.5"]),
+    (TRUTH_MODEL, "mu", [0.5, [0.5]]),
+    (TRUTH_MODEL, "A", "x"),
+    (TRUTH_MODEL, "B", [[0.8, 0.2], [0.2]]),
+    (TRUTH_MODEL, "A", [[0.9, 0.1], [0.1, None]]),
+    (_LOGITS, "alpha_tilde", [[0, 1], [0]]),
+    (_LOGITS, "beta_tilde", [[0, "x"], [0, 1]]),
+]
+
+
+@pytest.mark.parametrize("command", ["generate", "fit"])
+@pytest.mark.parametrize(
+    "model,key,value", _UNNUMBERED,
+    ids=[f"{k}-{json.dumps(v)}" for _, k, v in _UNNUMBERED])
+def test_model_array_that_is_not_numbers_exits_2(tmp_path, capsys, command,
+                                                 model, key, value):
+    # numpy's ValueError once ended in a traceback, and a string of digits
+    # was taken for its number
+    gen = write_json(tmp_path / "gen.json", base_config(length=20))
+    run(["generate", "--config", gen, "--out", str(tmp_path), "--quiet"])
+    doc = base_config(length=20, model=dict(model, **{key: value}))
+    cfgp = write_json(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    argv = [command, "--config", cfgp, "--out", str(out), "--quiet"]
+    if command == "fit":
+        argv += ["--data", str(tmp_path / "data.jsonl")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: model: {key} must be a regular array of numbers\n"
+    assert not out.exists()

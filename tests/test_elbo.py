@@ -13,7 +13,7 @@ from vfe_stream.elbo import (
     params_vector,
     scratch_summaries,
     step_inputs,
-    streaming_update_summaries,
+    step_summaries,
 )
 from vfe_stream.mfa import MfaFamily, MfaHistory, augment, full_q
 from vfe_stream.model import (
@@ -21,8 +21,9 @@ from vfe_stream.model import (
     ModelParams,
     StateSpace,
     build_hmm,
-    log_softmax_row,
+    log_softmax,
     sample_trajectory,
+    softmax,
 )
 from vfe_stream.oracle import (
     brute_force_elbo,
@@ -89,7 +90,7 @@ def test_elbo_recursive_matches_the_step_loop(K, tau, revised):
         h.set_updatable(np.array([rev, pin(rng.normal(size=K))]))
     val, v = elbo_recursive(hmm, h, obs)
     loop = scratch_summaries(hmm, h, obs)
-    ref = finish(loop, h.belief(tau))
+    ref = finish(loop)
     assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
     assert v.shape == (K,)
     assert np.max(np.abs(v - loop.v)) <= 1e-12 * max(1.0, np.max(np.abs(loop.v)))
@@ -256,11 +257,14 @@ def test_block_psi_gradient_matches_finite_differences(K, tau):
     hmm = random_hmm(K, 3, seed=K + tau)
     obs = random_obs(3, tau, seed=tau)
     h = random_history(K, tau, seed=20 + tau)
-    prev = log_sup = None
+    prev = None
     if tau > 1:
-        prev = scratch_summaries(hmm, h.prefix(), obs[:-1])
-        log_sup = log_softmax_row(h.superseded_logits(tau - 1))
-    W, G = step_inputs(hmm, prev, log_sup, obs[-1])
+        # the history before its newest snapshot: the rows but its last two
+        prefix = MfaHistory.from_dict({"horizon": tau - 1,
+                                       "rho": h.rows[:-2].tolist(),
+                                       "frozen_below": tau - 2})
+        prev = scratch_summaries(hmm, prefix, obs[:-1])
+    W, G = step_inputs(hmm, prev, obs[-1])
     rows = h.updatable_logits()
     if tau == 1:
         blocks = [block_psi_gradient_first(W, rows[0])]
@@ -285,15 +289,16 @@ def test_streaming_manual_two_step_bit_identical():
     hmm = random_hmm(2, 2, 13)
     obs = random_obs(2, 2, 13)
     h = random_history(2, 2, 13)
-    log_sup, log_w, log_curr = (log_softmax_row(r) for r in h.rows)
-    s1 = base_summaries(hmm, log_sup, obs[0])
-    g = carried_gradient(s1, None, h.belief(1), params_vector(hmm.params),
-                         obs[0])
-    s2 = streaming_update_summaries(s1, obs[1], hmm, log_w, log_curr, log_sup, g)
+    p = np.array([softmax(r) for r in h.rows])
+    log_p = np.array([log_softmax(r) for r in h.rows])
+    s1 = base_summaries(hmm, p[0], log_p[0], obs[0])
+    g = carried_gradient(s1, p[1], params_vector(hmm.params), obs[0])
+    s2 = step_summaries(s1, hmm, obs[1], p[1:], log_p[1:], g)
     scratch = scratch_summaries(hmm, h, obs)
-    assert np.array_equal(s2.v, scratch.v)
-    assert np.array_equal(s2.g, scratch.g)
-    assert finish(s2, h.belief(2)) == finish(scratch, h.belief(2))
+    assert s2.t == scratch.t == 2
+    for name in ("v", "g", "pi_prev", "pi", "log_pi"):
+        assert np.array_equal(getattr(s2, name), getattr(scratch, name))
+    assert finish(s2) == finish(scratch)
 
 
 def test_streaming_matches_scratch_along_stream():
@@ -304,21 +309,19 @@ def test_streaming_matches_scratch_along_stream():
     rng = np.random.default_rng(14)
     h = MfaHistory(pin(rng.normal(size=3)))
     theta = params_vector(hmm.params)
-    summaries = base_summaries(hmm, log_softmax_row(h.superseded_logits(1)),
-                               obs[0])
+    row = h.superseded_logits(1)
+    summaries = base_summaries(hmm, softmax(row), log_softmax(row), obs[0])
     for t in range(2, 13):
         augment(h, "uniform")
         h.set_updatable(np.array([pin(0.5 * rng.normal(size=3)),
                                   pin(rng.normal(size=3))]))
-        g = carried_gradient(summaries, h.belief(t - 2) if t > 2 else None,
-                             h.belief(t - 1), theta, obs[t - 2])
-        summaries = streaming_update_summaries(
-            summaries, obs[t - 1], hmm, log_softmax_row(h.belief_logits(t - 1)),
-            log_softmax_row(h.superseded_logits(t)),
-            log_softmax_row(h.superseded_logits(t - 1)), g)
+        rows = h.updatable_logits()
+        p = np.array([softmax(r) for r in rows])
+        g = carried_gradient(summaries, p[0], theta, obs[t - 2])
+        summaries = step_summaries(summaries, hmm, obs[t - 1], p,
+                                   log_softmax(rows), g)
         scratch = scratch_summaries(hmm, h, obs[:t])
-        assert abs(finish(summaries, h.belief(t))
-                   - finish(scratch, h.belief(t))) < 1e-10
+        assert abs(finish(summaries) - finish(scratch)) < 1e-10
         assert np.allclose(summaries.v, scratch.v, atol=1e-10)
         assert np.allclose(summaries.g, scratch.g, atol=1e-10)
 

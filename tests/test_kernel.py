@@ -34,10 +34,11 @@ class Reference:
     """One stream through the per-iteration validated path: every belief
     gradient in the block form of tests/helpers.py, every ascent step
     through ascent_step, every parameter step through ModelParams and
-    build_hmm, every fold step through streaming_update_summaries, and the
-    theta gradient carried as the dense matrix U of tests/helpers.py: the
-    theta phase at tau reads g = pi_{tau-1} @ U_{tau-1}.  Every marginal is
-    normalised from its history row where it is used."""
+    build_hmm, every fold step through step_summaries, and the theta
+    gradient carried as the dense matrix U of tests/helpers.py: the theta
+    phase at tau reads g = pi_{tau-1} @ U_{tau-1}.  Every marginal is
+    normalised row by row from its history row, where it is used or, for
+    the record the fold step builds, where the row is written."""
 
     def __init__(self, params, mu, schedule):
         self.params = params
@@ -67,15 +68,16 @@ class Reference:
         self.u = dense_u_step(self.u, pa, self.hmm.A, self.hmm.B, o - 1)
         hist = self.hist
         if tau == 1:
+            row = hist.superseded_logits(1)
             self.summaries = elbo_mod.base_summaries(
-                self.hmm, log_softmax(hist.superseded_logits(1)), o)
+                self.hmm, softmax(row), log_softmax(row), o)
         else:
-            self.summaries = elbo_mod.streaming_update_summaries(
-                self.summaries, o, self.hmm,
-                log_softmax(hist.belief_logits(tau - 1)),
-                log_softmax(hist.superseded_logits(tau)),
-                log_softmax(hist.superseded_logits(tau - 1)), g)
-        elbo = elbo_mod.finish(self.summaries, hist.belief(tau))
+            rows = [hist.belief_logits(tau - 1), hist.superseded_logits(tau)]
+            self.summaries = elbo_mod.step_summaries(
+                self.summaries, self.hmm, o,
+                np.array([softmax(r) for r in rows]),
+                np.array([log_softmax(r) for r in rows]), g)
+        elbo = elbo_mod.finish(self.summaries)
         return elbo, psi, theta
 
     def psi_phase(self, o, tau):
@@ -93,8 +95,7 @@ class Reference:
                 applied += 1
             hist.set_updatable(b[None, :])
             return applied
-        W, G = elbo_mod.step_inputs(
-            hmm, self.summaries, log_softmax(hist.superseded_logits(tau - 1)), o)
+        W, G = elbo_mod.step_inputs(hmm, self.summaries, o)
         K = hmm.K
         x = hist.updatable_logits().ravel()
         for _ in range(sched.psi_updates_per_obs):
@@ -215,9 +216,12 @@ def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
     counted(learner, "build_hmm")
     monkeypatch.setattr(elbo_mod, "scratch_summaries", refused)
     monkeypatch.setattr(elbo_mod, "elbo_recursive", refused)
+    observations = state.observations
     for o in random_obs(M, TAU, seed=K):
         calls.clear()
         rec = ingest(state, o)
+        # appended to, never copied: a copy would cost O(tau)
+        assert state.observations is observations
         assert rec.stalls == 0
         assert (rec.psi_updates, rec.theta_updates) == budgets
         assert calls["psi_gradient"] == budgets[0]
@@ -264,8 +268,8 @@ def test_audit_does_not_refold_the_stream(monkeypatch, K):
 @pytest.mark.parametrize("budgets", [(0, 0), (6, 0), (0, 3), (9, 3)])
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_carried_marginals_are_the_rows_normalised(K, budgets):
-    # what the learner carries from one ingest to the next is, bit for bit,
-    # the softmax and log-softmax of the final belief rows
+    # the marginals the carried record holds are, bit for bit, the softmax
+    # and log-softmax of the final belief rows
     M = 3
     truth = random_hmm(K, M, seed=K)
     sched = Schedule(psi_updates_per_obs=budgets[0],
@@ -275,8 +279,8 @@ def test_carried_marginals_are_the_rows_normalised(K, budgets):
                          truth.mu, sched)
     for o in random_obs(M, TAU, seed=K):
         tau = ingest(state, o).tau
-        prev, curr, log_curr = state.marginals
-        hist = state.history
+        s, hist = state.summaries, state.history
+        prev, curr, log_curr = s.pi_prev, s.pi, s.log_pi
         if tau == 1:
             assert prev is None
         else:
@@ -458,8 +462,37 @@ def _assert_same_learner(a, b):
     assert np.array_equal(a.params.beta_tilde, b.params.beta_tilde)
     assert np.array_equal(a.summaries.v, b.summaries.v)
     assert np.array_equal(a.summaries.g, b.summaries.g)
-    for x, y in zip(a.marginals, b.marginals):
+    assert a.summaries.t == b.summaries.t == a.tau
+    for name in ("pi_prev", "pi", "log_pi"):
+        x, y = getattr(a.summaries, name), getattr(b.summaries, name)
         assert (x is None and y is None) or np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("budgets", [(0, 0), (6, 0), (0, 3), (9, 3)])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_a_learner_rebuilt_from_its_carried_values_goes_on_alike(K, budgets):
+    # what one ingest carries to the next is (hmm, history, summaries,
+    # observations, stalls_total): a learner made from those values alone
+    # must go on bit for bit as the one they came from
+    M = 3
+    truth = random_hmm(K, M, seed=K)
+    sched = Schedule(psi_updates_per_obs=budgets[0],
+                     theta_updates_per_obs=budgets[1], psi_step=1.5,
+                     theta_step=2.0)
+    state = init_learner(ModelParams.random(StateSpace(K, M), seed=20 + K),
+                         truth.mu, sched)
+    obs = random_obs(M, TAU + 20, seed=K)
+    for o in obs[:TAU]:
+        ingest(state, o)
+    rebuilt = learner.LearnerState(
+        hmm=state.hmm, schedule=sched,
+        history=MfaHistory.from_dict(state.history.to_dict()),
+        summaries=state.summaries, observations=list(state.observations),
+        stalls_total=state.stalls_total)
+    rest = [[dataclasses.replace(ingest(s, o), wall_ms=0.0) for o in obs[TAU:]]
+            for s in (state, rebuilt)]
+    assert rest[0] == rest[1]
+    _assert_same_learner(state, rebuilt)
 
 
 def test_failed_first_ingest_leaves_the_learner_fresh():
@@ -492,7 +525,7 @@ def test_failed_later_ingest_leaves_the_learner_as_it_was(monkeypatch, exc):
         raise exc
 
     with monkeypatch.context() as m:
-        m.setattr(elbo_mod, "streaming_update_summaries", broken)
+        m.setattr(elbo_mod, "step_summaries", broken)
         with pytest.raises(type(exc), match="injected") as info:
             ingest(state, 1)
     assert info.value is exc

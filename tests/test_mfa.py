@@ -10,9 +10,7 @@ from vfe_stream.mfa import (
     augment,
     extension_factor,
     full_q,
-    hat_elbo,
     m_conditional,
-    pairwise_tables_from_history,
     prediction_logits,
 )
 from vfe_stream.model import ConstraintError, ModelParams, build_hmm
@@ -23,7 +21,8 @@ from vfe_stream.oracle import (
     forward_filter,
 )
 
-from helpers import random_hmm, random_obs
+from helpers import (hat_elbo, pairwise_tables_from_history, random_hmm,
+                     random_obs)
 
 
 def pin(v) -> np.ndarray:
@@ -280,20 +279,6 @@ def test_checkpoint_rows_are_the_stored_rows_across_growths(K):
         assert back.to_dict() == doc
         assert back.frozen_fingerprint() == h.frozen_fingerprint()
     assert len(capacities) >= 3  # the row buffer grew at least twice
-
-
-def test_prefix_is_a_copy_the_original_never_sees():
-    h = random_history(3, 6, 2)
-    fp, doc = h.frozen_fingerprint(), h.to_dict()
-    p = h.prefix()
-    assert p.horizon == 5
-    assert p.to_dict()["rho"] == doc["rho"][:-2]
-    # rows 8 and 9 of the prefix are frozen rows of h; the augmentation
-    # writes where h keeps its updatable rows
-    p.set_updatable(np.array([pin([0.0, 5.0, -5.0]), pin([0.0, -5.0, 5.0])]))
-    augment(p, "uniform")
-    assert h.frozen_fingerprint() == fp
-    assert h.to_dict() == doc
 
 
 def _horizon_two_doc(**changes):

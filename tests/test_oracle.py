@@ -219,10 +219,10 @@ def test_finite_diff_constant():
 
 def test_finite_diff_matches_analytic_softmax():
     # d/dv_i ln softmax_j(v) = delta_ij - softmax_i(v)
-    from vfe_stream.model import log_softmax_row, softmax_row
+    from vfe_stream.model import log_softmax, softmax_row
     v = np.array([0.3, -1.0, 0.7])
     j = 1
-    g = finite_diff_grad(lambda x: float(log_softmax_row(x)[j]), v)
+    g = finite_diff_grad(lambda x: float(log_softmax(x)[j]), v)
     p = softmax_row(v)
     expect = -p
     expect[j] += 1.0

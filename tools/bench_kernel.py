@@ -14,7 +14,9 @@ observations, at each (psi, theta) step budget in INGEST_BUDGETS: at
 Each timing is the fastest of REPEATS timed runs (a STEPS-step loop,
 AUDIT_CALLS calls or INGEST_CALLS ingests), divided by the step or call
 count: the minimum is the timing least disturbed by other load on a shared
-host.
+host.  The ingest group also gives the quartiles of its REPEATS batches,
+so a reader can tell whether a difference between two checkouts lies
+inside the spread of one.
 The inputs are seeded and the same for every checkout, so two checkouts
 can be compared by running the script against each source tree:
 
@@ -171,8 +173,11 @@ def bench_ingest(psi: int, theta: int) -> dict:
         for o in batch:
             ingest(state, o)
         times.append(time.perf_counter() - t0)
+    us = 1e6 * np.array(times) / INGEST_CALLS
+    q1, median, q3 = (round(float(q), 1) for q in np.percentile(us, [25, 50, 75]))
     return {"psi_updates_per_obs": psi, "theta_updates_per_obs": theta,
-            "us_per_ingest": round(1e6 * min(times) / INGEST_CALLS, 1)}
+            "us_per_ingest": round(float(us.min()), 1),
+            "q1": q1, "median": median, "q3": q3}
 
 
 def main() -> None:
