@@ -2,7 +2,8 @@
 
 Every command is a pure function of (config, input files, seed): repeat runs
 produce byte-identical outputs.  Exit codes: 0 success, 2 bad input or
-config, 3 completed with stalls or failed checks.  Output files are written
+config, 3 completed with stalls or failed checks.  Output directories are
+made once the inputs are read, before any work; output files are written
 atomically (temp file in the target directory, then rename).
 """
 
@@ -49,9 +50,20 @@ class ConfigError(ValueError):
     pass
 
 
+def _make_out_dirs(*paths: str) -> None:
+    """Make the directory of each output path: one that cannot be made
+    raises a ConfigError that names it."""
+    for path in paths:
+        directory = os.path.dirname(os.path.abspath(path))
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{directory}: cannot create the output "
+                              f"directory ({exc.strerror or exc})") from exc
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp{os.getpid()}")
     with open(tmp, "w") as fh:
         fh.write(text)
@@ -187,8 +199,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _out_path(cfg: ExperimentConfig, key: str, out_dir: str, default: str) -> str:
-    name = cfg.out.get(key, default)
-    return os.path.join(out_dir, name)
+    return os.path.join(out_dir, cfg.out.get(key, default))
 
 
 def _report_path(doc: dict, out_dir: str, default: str) -> str:
@@ -201,18 +212,20 @@ def _report_path(doc: dict, out_dir: str, default: str) -> str:
 # -- generate -----------------------------------------------------------------
 
 def cmd_generate(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
+    data_path = _out_path(cfg, "data", out_dir, "data.jsonl")
+    states_path = (_out_path(cfg, "states", out_dir, "") if "states" in cfg.out
+                   else data_path)  # no states file: no other directory
+    _make_out_dirs(data_path, states_path)
     traj = sample_trajectory(cfg.hmm, cfg.length, seed=cfg.seed)
     lines = [json.dumps({"t": t, "o": o}, sort_keys=True)
              for t, o in enumerate(traj.observations, start=1)]
-    data_path = _out_path(cfg, "data", out_dir, "data.jsonl")
     _atomic_write(data_path, "\n".join(lines) + ("\n" if lines else ""))
     if "states" in cfg.out:
         slines = [json.dumps({"ground_truth": True, "length": cfg.length},
                              sort_keys=True)]
         slines += [json.dumps({"s": s, "t": t}, sort_keys=True)
                    for t, s in enumerate(traj.states, start=1)]
-        _atomic_write(os.path.join(out_dir, cfg.out["states"]),
-                      "\n".join(slines) + "\n")
+        _atomic_write(states_path, "\n".join(slines) + "\n")
     if not quiet:
         print(f"wrote {cfg.length} observations to {data_path}")
     return EXIT_OK
@@ -259,12 +272,13 @@ def _run_config(cfg: ExperimentConfig, observations: list):
 
 def cmd_fit(cfg: ExperimentConfig, data_path: str, out_dir: str, quiet: bool) -> int:
     observations = read_observations(data_path, cfg.hmm.M)
-    result = _run_config(cfg, observations)
     trace_path = _out_path(cfg, "trace", out_dir, "trace.csv")
+    summary_path = _out_path(cfg, "summary", out_dir, "summary.json")
+    _make_out_dirs(trace_path, summary_path)
+    result = _run_config(cfg, observations)
     _atomic_write(trace_path, result.trace.to_csv_text())
     summary = summary_dict(result)
     summary["config_seed"] = cfg.seed
-    summary_path = _out_path(cfg, "summary", out_dir, "summary.json")
     _atomic_write(summary_path, _json_text(summary))
     stalls = result.state.stalls_total
     if not quiet:
@@ -341,7 +355,7 @@ def cmd_compare(compare_doc: dict, out_dir: str, quiet: bool,
         bad = [o for o in observations if o > cfg.hmm.M]
         if bad:
             raise ConfigError(f"candidate {name}: data symbol {bad[0]} exceeds M={cfg.hmm.M}")
-
+    _make_out_dirs(report_path)
     rows = [_evaluate_candidate(cfg, observations) for _, cfg in parsed]
     for (name, _), row in zip(parsed, rows):
         row["name"] = name
@@ -444,6 +458,7 @@ def cmd_gradcheck(doc: dict, out_dir: str, quiet: bool) -> int:
         raise ConfigError(f"K^tau = {K ** tau} exceeds the enumeration guard "
                           f"{ENUMERATION_GUARD}")
     report_path = _report_path(doc, out_dir, "gradcheck.json")
+    _make_out_dirs(report_path)
 
     per_instance = []
     for i in range(instances):

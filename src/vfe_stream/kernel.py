@@ -116,8 +116,12 @@ def psi_gradient(W: np.ndarray, G, n: int, K: int):
 def psi_ascent(x: np.ndarray, W: np.ndarray, G, steps: int,
                step: float) -> tuple:
     """Ascent along psi_gradient on the (n, K) updatable belief logits,
-    returning (x, applied, stalled)."""
+    returning (x, applied, stalled).  With no step to take, or at K = 1,
+    where every coordinate is pinned and each step would add step * 0, x is
+    returned with no gradient built or evaluated."""
     n, K = x.shape
+    if K == 1 or steps == 0:
+        return x, steps, False
     x, applied, stalled = _ascend(x.ravel(), psi_gradient(W, G, n, K),
                                   steps, step)
     return x.reshape(n, K), applied, stalled

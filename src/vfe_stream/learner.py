@@ -1,17 +1,18 @@
 """Streaming coordinate-ascent learner.
 
-Per observation: grow the horizon, run a fixed budget of ascent steps on the
-two updatable belief rows, normalise those rows once, carry the theta
+Per observation: run a fixed budget of ascent steps on the new snapshot's
+two belief rows and store them, normalise those rows once, carry the theta
 gradient g one step on, run a fixed budget on the model parameters (using
 the just-updated beliefs), then fold V and append a trace record.
-Per-observation cost is constant in tau.
+Per-observation cost is constant in tau; the opt-in self oracle refilters
+the stream in O(log tau) vectorised steps.
 
 What one ingest carries to the next is (hmm, history, summaries,
 observations, stalls_total), each held once, on LearnerState.  The
 summaries are one record, elbo.ElboSummaries: V and g at tau with the
 final marginals pi_{tau-1}, pi_tau and ln pi_tau, which the ingest's one
 softmax-and-log pass over the rows the psi phase wrote gives.  The next
-ingest's augmentation, psi phase, g carry and fold read them from that
+ingest's starting rows, psi phase, g carry and fold read them from that
 record, so no stored row is normalised twice.  tau is the number of
 observations and the parameters are the model's; neither is stored apart.
 An ingest stores the model, summaries and stall count once, after its last
@@ -19,10 +20,11 @@ step that can fail, so a failed one has only its observation and its
 history rows to drop.
 
 The two ascent loops run in kernel on plain arrays.  Values are validated
-where they enter, once: mu and the starting parameters in init_learner, and
-once per observation what the loops return, the belief rows as
-MfaHistory.set_updatable stores them and the parameters through ModelParams
-and build_hmm.  What is read back (history rows, the model) is not checked.
+where they enter, once: mu and the starting parameters in init_learner, the
+prediction row before the psi phase, the ascended rows as
+MfaHistory.append_snapshot stores them (one row check per ingest), and theta
+as model.rebuild_hmm takes it over (once per rebuild, reusing the validated
+mu).  What is read back (history rows, the model) is not checked.
 
 Both mean-field families run this one path.  The reversed family's
 extension factors telescope to the product of the final per-time marginals,
@@ -50,10 +52,10 @@ import numpy as np
 
 from . import elbo as elbo_mod
 from . import kernel
-from .mfa import INIT_RULES, MfaFamily, MfaHistory, augment
+from .mfa import INIT_RULES, MfaFamily, MfaHistory, start_rows
 from .model import (ConstraintError, GenerativeHMM, ModelParams, build_hmm,
-                    softmax_and_log)
-from .oracle import forward_filter
+                    rebuild_hmm, softmax_and_log)
+from .oracle import tree_filter
 
 
 @dataclass(frozen=True)
@@ -190,24 +192,32 @@ def init_learner(params: ModelParams, mu, schedule: Schedule,
     return state
 
 
-def _first_block(state: LearnerState) -> np.ndarray:
-    if state.init_rule == "prediction":
-        logits = np.log(state.hmm.mu)
-        return logits - logits[0]
-    return np.zeros(state.hmm.K)
-
-
 def _psi_phase(state: LearnerState, o: int) -> tuple:
-    """Ascent on the updatable rows from the record of tau - 1 (None at
-    tau = 1); stores the rows in the history and returns (applied,
-    stalled)."""
-    sched, hist = state.schedule, state.history
-    W, G = elbo_mod.step_inputs(state.hmm, state.summaries, o)
+    """Ascent from the new snapshot's starting rows, given the record of
+    tau - 1 (None at tau = 1): mfa.start_rows, or the first row alone.
+    Stores the ascended rows with one check and one write, and returns
+    (rows, applied, stalled)."""
+    sched, prev, hmm = state.schedule, state.summaries, state.hmm
+    if prev is not None:
+        x = start_rows(state.history, state.init_rule, hmm, prev.pi)
+        if not np.isfinite(x[1]).all():
+            raise ConstraintError(
+                "the prediction row has a zero entry, from an exact 0 in the "
+                f"transition matrix B: theta_step = {sched.theta_step!r} "
+                "drove its logits out of range")
+    elif state.init_rule == "prediction":
+        logits = np.log(hmm.mu)
+        x = (logits - logits[0])[None, :]
+    else:
+        x = np.zeros((1, hmm.K))
+    W, G = elbo_mod.step_inputs(hmm, prev, o)
     x, applied, stalled = kernel.psi_ascent(
-        hist.updatable_logits(), W, G, sched.psi_updates_per_obs,
-        sched.psi_step)
-    hist.set_updatable(x)
-    return applied, stalled
+        x, W, G, sched.psi_updates_per_obs, sched.psi_step)
+    if prev is None:
+        state.history = MfaHistory(x[0])
+    else:
+        state.history.append_snapshot(x)
+    return x, applied, stalled
 
 
 def _theta_phase(state: LearnerState, o: int, theta: np.ndarray,
@@ -216,8 +226,8 @@ def _theta_phase(state: LearnerState, o: int, theta: np.ndarray,
     """Ascent on the flat parameters theta using the just-updated beliefs
     pa (None at tau = 1) and pb; the carried gradient g is fixed, the fresh
     final-step part tracks the moving parameters.  Returns (hmm, applied,
-    stalled): the parameters are validated and the model rebuilt once,
-    when the loop exits, and only when a step was applied."""
+    stalled): the parameters are checked and the model rebuilt once, when
+    the loop exits, and only when a step was applied."""
     sched, hmm = state.schedule, state.hmm
     if sched.theta_updates_per_obs == 0:
         return hmm, 0, False
@@ -225,14 +235,14 @@ def _theta_phase(state: LearnerState, o: int, theta: np.ndarray,
         theta, g, pa, pb, o - 1, sched.theta_updates_per_obs,
         sched.theta_step / state.tau)
     if applied:
-        hmm = build_hmm(hmm.mu, ModelParams(*kernel.theta_rows(theta, hmm.K,
-                                                                hmm.M)))
+        hmm = rebuild_hmm(hmm, *kernel.theta_rows(theta, hmm.K, hmm.M))
     return hmm, applied, stalled
 
 
 def ingest(state: LearnerState, observation: int) -> TraceRecord:
-    """Consume one observation: augment, update beliefs, normalise the rows
-    they wrote once, update parameters, refresh summaries, record.
+    """Consume one observation: update beliefs from the snapshot's starting
+    rows and store them, normalise them once, update parameters, refresh
+    summaries, record.
 
     The observation must be an integer (a Python or numpy one, not a bool)
     in 1..M; anything else raises ConstraintError before the state changes.
@@ -256,14 +266,10 @@ def ingest(state: LearnerState, observation: int) -> TraceRecord:
     prev = state.summaries
     state.observations.append(o)
     try:
-        if prev is None:
-            state.history = MfaHistory(_first_block(state))
-        else:
-            augment(state.history, state.init_rule, state.hmm, prev.pi)
-        psi_applied, psi_stalled = _psi_phase(state, o)
+        x, psi_applied, psi_stalled = _psi_phase(state, o)
         # the one normalisation pass: the rows psi wrote, (revision of
         # tau - 1, current of tau) or the one row at tau = 1
-        p, log_p = softmax_and_log(state.history.updatable_logits())
+        p, log_p = softmax_and_log(x)
         pa = None if prev is None else p[0]
         theta = elbo_mod.params_vector(state.hmm.params)
         if prev is None:
@@ -282,13 +288,12 @@ def ingest(state: LearnerState, observation: int) -> TraceRecord:
         log_evidence = gap = filter_l1 = None
         elbo_value = elbo_mod.finish(summaries)
         if state.oracle_mode == "self":
-            filt = forward_filter(hmm, state.observations)
+            marginal, log_evidence = tree_filter(hmm, state.observations)
             exact, _ = elbo_mod.elbo_recursive(hmm, state.history,
                                                state.observations)
             elbo_value = exact
-            log_evidence = filt.log_evidence
             gap = log_evidence - exact
-            filter_l1 = float(np.abs(summaries.pi - filt.marginals[-1]).sum())
+            filter_l1 = float(np.abs(summaries.pi - marginal).sum())
         elif state.oracle_mode == "reference":
             ref = state.reference
             w = state.ref_pred * ref.A[:, o - 1]

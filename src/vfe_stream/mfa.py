@@ -10,7 +10,8 @@ the newest snapshot is its last two rows (one at horizon 1).  Only those
 are ever written, by a single writer; a growth copies the older rows bit
 for bit, so frozen rows stay bit-identical for the rest of the run.
 Appending writes two rows into a buffer that doubles when full, which is
-what keeps per-observation work constant in tau.
+what keeps per-observation work constant in tau.  The learner ascends from
+start_rows before it stores a snapshot, so each is checked and written once.
 
 The joint over s_{1:tau} is assembled from one-step extension factors
 
@@ -139,11 +140,10 @@ class MfaHistory:
 
     # -- mutation ------------------------------------------------------------
 
-    def append_snapshot(self, rho_curr) -> None:
-        """Grow the horizon by one: the revision row starts as the outgoing
-        belief, and rho_curr is the row for the new time."""
-        curr = _check_rows([rho_curr], 1, self.K)
-        self._write(self._n, np.concatenate([self._rows[self._n - 1:self._n], curr]))
+    def append_snapshot(self, rows) -> None:
+        """Grow the horizon by one, storing the new snapshot's (2, K) rows:
+        the revision of the outgoing time, then the row for the new one."""
+        self._write(self._n, _check_rows(rows, 2, self.K))
 
     def set_updatable(self, *rows) -> None:
         """Replace the newest snapshot's rows, given as the (n, K) array
@@ -159,11 +159,6 @@ class MfaHistory:
         if self.horizon < 2:
             raise ConstraintError("the starting snapshot cannot be dropped")
         self._n -= 2
-
-    def frozen_fingerprint(self) -> tuple:
-        """Raw bytes of each row below the newest snapshot's; tests use this
-        to assert bit-level immutability."""
-        return tuple(row.tobytes() for row in self._rows[:max(self._n - 2, 0)])
 
     # -- serialization -------------------------------------------------------
 
@@ -202,31 +197,38 @@ class MfaHistory:
 def prediction_logits(hmm: GenerativeHMM, belief: np.ndarray) -> np.ndarray:
     """One-step-prediction initializer: push the newest marginal through the
     transition matrix and convert back to pinned logits."""
-    pred = hmm.B.T @ belief
-    logits = np.log(pred)
+    with np.errstate(divide="ignore"):  # a zero entry is -inf, not a warning
+        logits = np.log(hmm.B.T @ belief)
     return logits - logits[0]
+
+
+def start_rows(history: MfaHistory, init_rule: str = "uniform",
+               hmm: Optional[GenerativeHMM] = None,
+               belief: Optional[np.ndarray] = None) -> np.ndarray:
+    """The (2, K) rows the next snapshot starts from, not yet stored: the
+    outgoing belief row (no revision yet), then zero logits ("uniform") or
+    the one-step prediction under hmm of belief, the newest marginal
+    ("prediction"; the learner carries it, so no row is normalised here)."""
+    x = np.empty((2, history.K))
+    x[0] = history.rows[-1]
+    if init_rule == "uniform":
+        x[1] = 0.0
+    elif init_rule != "prediction":
+        raise ConstraintError(f"unknown init_rule {init_rule!r}")
+    elif hmm is None or belief is None:
+        raise ConstraintError(
+            "prediction init_rule needs the model and the newest marginal")
+    else:
+        x[1] = prediction_logits(hmm, belief)
+    return x
 
 
 def augment(history: MfaHistory, init_rule: str = "uniform",
             hmm: Optional[GenerativeHMM] = None,
             belief: Optional[np.ndarray] = None) -> MfaHistory:
-    """Grow the horizon by one (in place; the history object is returned).
-
-    The revision row starts as the outgoing belief (no revision yet) and
-    the fresh row follows init_rule: "uniform" for zero logits,
-    "prediction" for the one-step prediction under hmm of belief, the
-    newest marginal (the learner carries it, so no row is normalised here).
-    """
-    if init_rule == "uniform":
-        rho = np.zeros(history.K)
-    elif init_rule == "prediction":
-        if hmm is None or belief is None:
-            raise ConstraintError(
-                "prediction init_rule needs the model and the newest marginal")
-        rho = prediction_logits(hmm, belief)
-    else:
-        raise ConstraintError(f"unknown init_rule {init_rule!r}")
-    history.append_snapshot(rho)
+    """Grow the horizon by one with start_rows' rows (in place; the history
+    object is returned)."""
+    history.append_snapshot(start_rows(history, init_rule, hmm, belief))
     return history
 
 

@@ -9,6 +9,9 @@ data, is not part of the learnable parameters, and may contain zeros.
 
 States and symbols are 1-based at the public interface and 0-based
 internally.
+
+ModelParams and build_hmm validate at the boundaries; the learner's per-step
+rebuild_hmm checks only new parameter rows and reuses the validated mu.
 """
 
 from __future__ import annotations
@@ -23,12 +26,6 @@ class ConstraintError(ValueError):
     """A structural invariant (pinning, simplex, shape, finiteness) is violated."""
 
 
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 def _numbers(a, what: str) -> np.ndarray:
     """a as a read-only float array, if it is a regular array of numbers:
     a string or a ragged list raises ConstraintError, and a string of
@@ -39,7 +36,9 @@ def _numbers(a, what: str) -> np.ndarray:
         raise ConstraintError(f"{what} must be a regular array of numbers") from exc
     if x.dtype.kind not in "iuf":
         raise ConstraintError(f"{what} must be a regular array of numbers")
-    return _frozen(x)
+    x = np.array(x, dtype=float)
+    x.flags.writeable = False
+    return x
 
 
 def softmax_row(logits) -> np.ndarray:
@@ -211,17 +210,29 @@ def build_hmm(mu, params: ModelParams) -> GenerativeHMM:
         raise ConstraintError("mu entries must be finite and >= 0")
     if abs(mu.sum() - 1.0) > 1e-12:
         raise ConstraintError("mu must sum to 1 within 1e-12")
-    # the parameter rows were validated finite when params was built
+    return _derive(mu, params)
+
+
+def rebuild_hmm(hmm: GenerativeHMM, alpha_tilde: np.ndarray,
+                beta_tilde: np.ndarray) -> GenerativeHMM:
+    """build_hmm(hmm.mu, ModelParams(alpha_tilde, beta_tilde)) for a model
+    whose mu is already validated: the new rows are checked finite and
+    pinned once, and are taken over read-only rather than copied."""
+    params = object.__new__(ModelParams)
+    for name, rows in (("alpha_tilde", alpha_tilde), ("beta_tilde", beta_tilde)):
+        _check_pinned(rows, name)
+        rows.flags.writeable = False
+        object.__setattr__(params, name, rows)
+    return _derive(hmm.mu, params)
+
+
+def _derive(mu: np.ndarray, params: ModelParams) -> GenerativeHMM:
     log_A = log_softmax(params.alpha_tilde)
     log_B = log_softmax(params.beta_tilde)
-    return GenerativeHMM(
-        mu=mu,
-        params=params,
-        A=_frozen(np.exp(log_A)),
-        B=_frozen(np.exp(log_B)),
-        log_A=_frozen(log_A),
-        log_B=_frozen(log_B),
-    )
+    arrays = (np.exp(log_A), np.exp(log_B), log_A, log_B)
+    for a in arrays:
+        a.flags.writeable = False
+    return GenerativeHMM(mu, params, *arrays)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ finite differences.  These are the ground truth that the recursive
 implementations are audited against, so they deliberately avoid sharing code
 with the fast paths.
 
+Of the two exact filters, the loop forward_filter is the reference; the
+log-depth tree_filter, checked against it, serves per-step self audits.
+
 Sequence tables are flat arrays of length K^tau in C order: s_1 varies
 slowest, s_tau fastest, matching itertools.product(range(K), repeat=tau).
 """
@@ -73,6 +76,34 @@ def forward_filter(hmm: GenerativeHMM, observations: Sequence[int]) -> FilterRes
         log_z += float(np.log(c))
         pred = hmm.B.T @ marginals[t]
     return FilterResult(marginals=marginals, log_evidence=log_z)
+
+
+def tree_filter(hmm: GenerativeHMM, observations: Sequence[int]) -> tuple:
+    """forward_filter's (marginals[-1], log_evidence) in log2 tau levels
+    (Sarkka & Garcia-Fernandez 2021).  alpha_tau is row 0 of the product of
+    M_1, whose rows all equal alpha_1, and M_t = B * A[:, o_t]; each level
+    multiplies adjacent pairs and divides each product by its largest
+    entry, whose logs add up to the log evidence."""
+    o = _check_values(observations, hmm.M, "observation")
+    if o.shape[0] == 0:
+        raise ConstraintError("observations must be non-empty")
+    m = hmm.B[None, :, :] * hmm.A[:, o].T[:, None, :]
+    m[0] = hmm.mu * hmm.A[:, o[0]]
+    log_z = 0.0
+    while m.shape[0] > 1:
+        n = m.shape[0] // 2 * 2
+        prod = m[0:n:2] @ m[1:n:2]
+        scale = prod.max(axis=(1, 2))
+        if not np.all((scale > 0.0) & np.isfinite(scale)):
+            raise ConstraintError("observation has zero probability under mu support")
+        prod /= scale[:, None, None]
+        log_z += float(np.log(scale).sum())
+        m = np.concatenate([prod, m[n:]])
+    alpha = m[0, 0]
+    c = alpha.sum()
+    if not (c > 0.0 and np.isfinite(c)):
+        raise ConstraintError("observation has zero probability under mu support")
+    return alpha / c, log_z + float(np.log(c))
 
 
 def forward_backward(hmm: GenerativeHMM, observations: Sequence[int]) -> SmoothingResult:

@@ -47,6 +47,12 @@ def log_joint(hmm, trajectory) -> float:
     return total
 
 
+def frozen_fingerprint(history) -> tuple:
+    """Raw bytes of each stored row below the newest snapshot's, to assert
+    bit-level immutability."""
+    return tuple(row.tobytes() for row in history.rows[:-2])
+
+
 # -- block-form psi gradient --------------------------------------------------
 # The final fold step's belief gradient written block by block, the form it
 # is derived in; kernel.psi_gradient computes it in one flat pass.  Tests use

@@ -2,8 +2,9 @@
 
 Every mathematical and operational contract of the package, checked at its
 registered tolerance, one printed verdict line per check.  Run with -s to see
-the verdicts; the two-state recovery benchmark takes most of a minute and is
-shared between the recovery and model-comparison checks.
+the verdicts; the two-state recovery benchmark, with the self oracle's exact
+filter and objective at every step, takes about 15 s and is shared between
+the recovery, self-audit and model-comparison checks.
 """
 
 import json
@@ -13,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (hat_elbo, near_identity_params,
+from helpers import (frozen_fingerprint, hat_elbo, near_identity_params,
                      pairwise_tables_from_history, random_hmm, random_obs)
 
 from vfe_stream import elbo as elbo_mod
@@ -48,6 +49,7 @@ from vfe_stream.oracle import (
     finite_diff_grad,
     forward_filter,
     max_grad_error,
+    tree_filter,
     vfe,
     vfe_forms,
 )
@@ -268,22 +270,25 @@ def benchmark_run():
                          init_rule=cfg.init_rule)
     tail_start = cfg.length - 1000
     ingest_secs = 0.0
-    tail_l1 = []
+    tail_l1, gaps = [], []
     for i, o in enumerate(obs, start=1):
         t0 = time.perf_counter()
         ingest(state, o)
         ingest_secs += time.perf_counter() - t0
+        # the self oracle's audit, outside the timed ingest
+        marginal, log_z = tree_filter(state.hmm, state.observations)
+        gaps.append(log_z - elbo_mod.elbo_recursive(
+            state.hmm, state.history, state.observations)[0])
         if i > tail_start:
-            filt = forward_filter(state.hmm, state.observations)
             tail_l1.append(float(np.abs(state.history.belief(state.tau)
-                                        - filt.marginals[-1]).sum()))
+                                        - marginal).sum()))
     perm, tv = align_states(state.hmm.A, state.hmm.B, truth.A, truth.B)
     with open(os.path.join(CONFIG_DIR, "registered.json")) as fh:
         registered = json.load(fh)["bench-k2.json"]
     return {
         "truth": truth, "obs": obs, "state": state, "perm": perm,
         "max_row_tv": tv, "mean_tail_l1": float(np.mean(tail_l1)),
-        "ingest_secs": ingest_secs, "registered": registered,
+        "ingest_secs": ingest_secs, "registered": registered, "gaps": gaps,
     }
 
 
@@ -300,6 +305,15 @@ def test_online_recovery_benchmark(benchmark_run):
             f"filter L1 over final 1000 = {b['mean_tail_l1']:.4f} (<= 0.05), "
             f"run time {b['ingest_secs']:.1f} s (< 60); registered "
             f"{reg['max_row_tv']:.4f}/{reg['mean_filter_l1_tail']:.4f}")
+
+
+def test_self_audit_gap_holds_on_the_whole_stream(benchmark_run):
+    # log evidence minus the exact objective at every one of the stream's
+    # steps, the column `fit --oracle` writes as gap
+    gaps = benchmark_run["gaps"]
+    ok = len(gaps) == len(benchmark_run["obs"]) and min(gaps) >= -1e-10
+    verdict(ok, "self-audit gap on the whole recovery stream",
+            f"min gap over {len(gaps)} steps = {min(gaps):.3e} (>= -1e-10)")
 
 
 def test_model_comparison_prefers_two_states(benchmark_run):
@@ -359,7 +373,7 @@ def test_short_term_memory_fuzz():
         for _ in range(tau):
             o = int(rng.integers(1, M + 1))
             ingest(state, o)
-            new_fp = state.history.frozen_fingerprint()
+            new_fp = frozen_fingerprint(state.history)
             assert new_fp[:len(fp)] == fp, "a frozen block changed bytes"
             fp = new_fp
         streams += 1

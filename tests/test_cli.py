@@ -652,6 +652,40 @@ def test_non_string_out_name_exits_2(tmp_path, command, key, name):
     assert sorted(os.listdir(tmp_path)) == before
 
 
+@pytest.mark.parametrize("command,work", [
+    ("generate", "sample_trajectory"), ("fit", "run_stream"),
+    ("compare", "_evaluate_candidate"), ("gradcheck", "_gradcheck_instance"),
+])
+def test_out_under_a_regular_file_exits_2_before_any_work(
+        tmp_path, monkeypatch, capsys, command, work):
+    # os.makedirs once raised NotADirectoryError from the first write: a
+    # traceback, and for fit only after the whole stream had been fitted
+    gen = write_json(tmp_path / "gen.json", base_config(length=20))
+    run(["generate", "--config", gen, "--out", str(tmp_path), "--quiet"])
+    data = str(tmp_path / "data.jsonl")
+    if command == "compare":
+        doc = {"data": data,
+               "candidates": [_candidate("a", dict(TRUTH_MODEL))]}
+    elif command == "gradcheck":
+        doc = {"instances": 1}
+    else:
+        doc = base_config(length=20)
+    cfgp = write_json(tmp_path / "c.json", doc)
+    (tmp_path / "afile").write_text("")
+    argv = [command, "--config", cfgp, "--out", str(tmp_path / "afile" / "sub"),
+            "--quiet"]
+    if command == "fit":
+        argv += ["--data", data]
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output directory was made")
+    monkeypatch.setattr(f"vfe_stream.cli.{work}", refused)
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "afile" in err and "Traceback" not in err
+
+
 # -- typed config fields ------------------------------------------------------
 
 _UNTYPED = [

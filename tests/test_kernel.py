@@ -173,10 +173,12 @@ def test_kernel_matches_validated_reference(K, M, family, budgets):
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
                                                             budgets):
-    # each observation costs one gradient evaluation per ascent step, one
-    # theta gradient evaluation that carries g on from tau = 2, one fold
-    # step and at most one model rebuild, whatever tau is; nothing refolds
-    # the stream, and without a stall no step is replayed
+    # each observation costs one gradient evaluation per ascent step (none
+    # for psi at K = 1, where every belief coordinate is pinned), one theta
+    # gradient evaluation that carries g on from tau = 2, one fold step and
+    # at most one model rebuild, which validates nothing already validated,
+    # whatever tau is; nothing refolds the stream, and without a stall no
+    # step is replayed
     M = 3
     truth = random_hmm(K, M, seed=K)
     sched = Schedule(psi_updates_per_obs=budgets[0],
@@ -214,6 +216,7 @@ def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
     counted(kernel, "ascent_step")
     counted(elbo_mod, "fold_step")
     counted(learner, "build_hmm")
+    counted(learner, "rebuild_hmm")
     monkeypatch.setattr(elbo_mod, "scratch_summaries", refused)
     monkeypatch.setattr(elbo_mod, "elbo_recursive", refused)
     observations = state.observations
@@ -224,11 +227,12 @@ def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
         assert state.observations is observations
         assert rec.stalls == 0
         assert (rec.psi_updates, rec.theta_updates) == budgets
-        assert calls["psi_gradient"] == budgets[0]
+        assert calls["psi_gradient"] == (budgets[0] if K > 1 else 0)
         assert calls["theta_gradient"] == budgets[1] + (rec.tau > 1)
         assert calls["ascent_step"] == 0
         assert calls["fold_step"] == (rec.tau > 1)
-        assert calls["build_hmm"] == (budgets[1] > 0)
+        assert calls["build_hmm"] == 0
+        assert calls["rebuild_hmm"] == (budgets[1] > 0)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])
@@ -317,7 +321,7 @@ def test_each_ingest_normalises_the_rows_psi_wrote_once(monkeypatch, K,
     def rebuild(*args):
         building.append(True)
         try:
-            return build_hmm(*args)
+            return model.rebuild_hmm(*args)
         finally:
             building.pop()
 
@@ -326,7 +330,7 @@ def test_each_ingest_normalises_the_rows_psi_wrote_once(monkeypatch, K,
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     recorded(getattr(module, name)))
-    monkeypatch.setattr(learner, "build_hmm", rebuild)
+    monkeypatch.setattr(learner, "rebuild_hmm", rebuild)
     for o in random_obs(M, TAU, seed=K):
         passes.clear()
         ingest(state, o)

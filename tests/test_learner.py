@@ -2,11 +2,12 @@
 loop, oracle columns, determinism, and state alignment."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import random_hmm, random_obs
+from helpers import frozen_fingerprint, random_hmm, random_obs
 
 from vfe_stream import elbo as elbo_mod
 from vfe_stream.learner import (
@@ -224,6 +225,35 @@ def test_ingest_rejects_a_non_integer_observation(bad):
     assert state.observations == [1, 2, 1, 2]
 
 
+def test_a_zero_in_the_prediction_names_b_and_theta_step():
+    # theta_step = 200 drives a transition logit so far that B holds an
+    # exact 0, and the prediction row for tau = 7 has a zero entry; this
+    # was refused as "logit rows have non-finite entries", with numpy's
+    # divide-by-zero warning on stderr
+    sched = Schedule(psi_updates_per_obs=80, theta_updates_per_obs=50,
+                     psi_step=0.5, theta_step=200.0)
+    state = init_learner(ModelParams.random(StateSpace(2, 2), seed=5),
+                         [0.5, 0.5], sched)
+    obs = np.random.default_rng(5).integers(1, 3, 300)
+    for o in obs[:6]:
+        ingest(state, o)
+    assert (state.hmm.B == 0.0).any()
+    before = (state.hmm, state.summaries, state.history.to_dict(),
+              list(state.observations), state.stalls_total)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstraintError) as err:
+            ingest(state, obs[6])
+    assert str(err.value) == (
+        "ingest failed at tau=7: the prediction row has a zero entry, from "
+        "an exact 0 in the transition matrix B: theta_step = 200.0 drove "
+        "its logits out of range")
+    after = (state.hmm, state.summaries, state.history.to_dict(),
+             list(state.observations), state.stalls_total)
+    assert after[0] is before[0] and after[1] is before[1]
+    assert after[2:] == before[2:]
+
+
 # -- streaming against scratch ----------------------------------------------
 
 def test_pure_augmentation_streaming_matches_scratch():
@@ -331,7 +361,7 @@ def test_frozen_blocks_never_move():
         fp = ()
         for o in random_obs(2, 8, seed=70 + seed):
             ingest(state, o)
-            new_fp = state.history.frozen_fingerprint()
+            new_fp = frozen_fingerprint(state.history)
             assert new_fp[:len(fp)] == fp
             fp = new_fp
 

@@ -12,6 +12,7 @@ from vfe_stream.oracle import (
     forward_backward,
     forward_filter,
     max_grad_error,
+    tree_filter,
     vfe,
     vfe_forms,
 )
@@ -62,6 +63,36 @@ def test_evidence_consistency_sweep():
         m = logs.max()
         lse = m + np.log(np.exp(logs - m).sum())
         assert abs(forward_filter(hmm, obs).log_evidence - lse) < 1e-10
+
+
+@pytest.mark.parametrize("tau", [1, 2, 3, 7, 8, 9, 250, 5000])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_tree_filter_matches_the_loop(K, tau):
+    # odd levels carry their last matrix over (7 and 9), and a zero mu entry
+    # puts a zero in alpha_1
+    hmm = random_hmm(K, 3, seed=K + tau)
+    models = [hmm]
+    if K > 1:
+        mu = np.full(K, 1.0 / (K - 1))
+        mu[0] = 0.0
+        models.append(build_hmm(mu, hmm.params))
+    obs = random_obs(3, tau, seed=tau)
+    for model in models:
+        ref = forward_filter(model, obs)
+        marginal, log_z = tree_filter(model, obs)
+        assert abs(log_z - ref.log_evidence) <= 1e-12 * abs(ref.log_evidence)
+        assert np.max(np.abs(marginal - ref.marginals[-1])) <= 1e-14
+
+
+@pytest.mark.parametrize("obs", [[2], [1, 1, 2], [1, 2, 1, 1, 1, 1, 1]])
+def test_tree_filter_refuses_a_zero_probability_observation(obs):
+    # exp(-1000) is 0.0: no state emits symbol 2
+    hmm = build_hmm([0.5, 0.5], ModelParams(alpha_tilde=[[0.0, -1000.0]] * 2,
+                                            beta_tilde=np.zeros((2, 2))))
+    assert (hmm.A[:, 1] == 0.0).all()
+    for fn in (forward_filter, tree_filter):
+        with pytest.raises(ConstraintError, match="zero probability"):
+            fn(hmm, obs)
 
 
 def test_smoothing_degenerate():

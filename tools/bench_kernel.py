@@ -11,17 +11,22 @@ at K = 2 and 3.  The ingest group gives the microseconds per
 learner.ingest on a seeded bench-k2 learner, warmed by INGEST_WARM
 observations, at each (psi, theta) step budget in INGEST_BUDGETS: at
 (0, 0) it is the fixed cost every observation pays before any ascent step.
+The oracle group gives, for each (K, tau) in ORACLE_SHAPES, the
+milliseconds per oracle.forward_filter call (the loop over tau) and per
+oracle.tree_filter call (the log-depth reduction) on the same seeded model
+and stream.
 Each timing is the fastest of REPEATS timed runs (a STEPS-step loop,
-AUDIT_CALLS calls or INGEST_CALLS ingests), divided by the step or call
-count: the minimum is the timing least disturbed by other load on a shared
-host.  The ingest group also gives the quartiles of its REPEATS batches,
-so a reader can tell whether a difference between two checkouts lies
-inside the spread of one.
+AUDIT_CALLS or ORACLE_CALLS calls, or INGEST_CALLS ingests), divided by the
+step or call count: the minimum is the timing least disturbed by other load
+on a shared host.  The ingest group also gives the quartiles of its REPEATS
+batches, so a reader can tell whether a difference between two checkouts
+lies inside the spread of one.
 The inputs are seeded and the same for every checkout, so two checkouts
-can be compared by running the script against each source tree:
+can be compared by running the script against each source tree; naming
+groups (shapes, audit_objective, history, ingest, oracle) runs only those:
 
     PYTHONPATH=src python tools/bench_kernel.py
-    PYTHONPATH=/path/to/other/checkout/src python tools/bench_kernel.py
+    PYTHONPATH=/path/to/other/checkout/src python tools/bench_kernel.py ingest
 
 Needs only the standard library and numpy.
 """
@@ -32,12 +37,13 @@ import dataclasses
 import gc
 import json
 import os
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 
-from vfe_stream import elbo, kernel
+from vfe_stream import elbo, kernel, oracle
 from vfe_stream.cli import load_config
 from vfe_stream.learner import ingest, init_learner
 from vfe_stream.mfa import MfaHistory, augment
@@ -56,6 +62,8 @@ BENCH_K2 = os.path.join(os.path.dirname(os.path.dirname(
 INGEST_BUDGETS = [(0, 0), (5, 0), (0, 1), (80, 50)]
 INGEST_WARM = 200
 INGEST_CALLS = 20
+ORACLE_SHAPES = [(K, tau) for K in (2, 3) for tau in (250, 1000, 5000)]
+ORACLE_CALLS = 2
 
 
 def _pinned(rng, *shape):
@@ -112,14 +120,14 @@ def _history(rng, K: int, tau: int) -> MfaHistory:
                                  "frozen_below": tau - 1})
 
 
-def _ms_per_call(call) -> float:
+def _ms_per_call(call, calls: int = AUDIT_CALLS) -> float:
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        for _ in range(AUDIT_CALLS):
+        for _ in range(calls):
             call()
         times.append(time.perf_counter() - t0)
-    return round(1e3 * min(times) / AUDIT_CALLS, 4)
+    return round(1e3 * min(times) / calls, 4)
 
 
 def bench_history_calls(tau: int) -> dict:
@@ -180,18 +188,40 @@ def bench_ingest(psi: int, theta: int) -> dict:
             "q1": q1, "median": median, "q3": q3}
 
 
-def main() -> None:
-    rows = [bench_shape(K, M) for K, M in SHAPES]
-    audit = [bench_audit(K, tau) for K, tau in AUDIT_SHAPES]
-    history = {"calls": [bench_history_calls(tau) for tau in HISTORY_TAUS],
-               "retained": [bench_history_bytes(K) for K in (2, 3)]}
-    ingests = [bench_ingest(*budget) for budget in INGEST_BUDGETS]
-    print(json.dumps({"steps": STEPS, "repeats": REPEATS,
-                      "audit_calls": AUDIT_CALLS, "ingest_calls": INGEST_CALLS,
-                      "numpy": np.__version__,
-                      "shapes": rows, "audit_objective": audit,
-                      "history": history, "ingest": ingests}, indent=2))
+def bench_oracle(K: int, tau: int) -> dict:
+    """ms per forward_filter and per tree_filter call at K = M."""
+    rng = np.random.default_rng(1000 * K + tau)
+    hmm = build_hmm(rng.dirichlet(np.ones(K)),
+                    ModelParams.random(StateSpace(K, K), seed=K))
+    obs = [int(o) for o in rng.integers(1, K + 1, size=tau)]
+    return {"K": K, "tau": tau, **{
+        f"{f.__name__}_ms": _ms_per_call(lambda: f(hmm, obs), ORACLE_CALLS)
+        for f in (oracle.forward_filter, oracle.tree_filter)}}
+
+
+GROUPS = {
+    "shapes": lambda: [bench_shape(K, M) for K, M in SHAPES],
+    "audit_objective": lambda: [bench_audit(K, tau) for K, tau in AUDIT_SHAPES],
+    "history": lambda: {
+        "calls": [bench_history_calls(tau) for tau in HISTORY_TAUS],
+        "retained": [bench_history_bytes(K) for K in (2, 3)]},
+    "ingest": lambda: [bench_ingest(*budget) for budget in INGEST_BUDGETS],
+    "oracle": lambda: [bench_oracle(K, tau) for K, tau in ORACLE_SHAPES],
+}
+
+
+def main(names) -> None:
+    unknown = set(names) - set(GROUPS)
+    if unknown:
+        raise SystemExit(f"unknown groups {sorted(unknown)}; "
+                         f"choose from {list(GROUPS)}")
+    out = {"steps": STEPS, "repeats": REPEATS, "audit_calls": AUDIT_CALLS,
+           "ingest_calls": INGEST_CALLS, "oracle_calls": ORACLE_CALLS,
+           "numpy": np.__version__}
+    for name in names or GROUPS:
+        out[name] = GROUPS[name]()
+    print(json.dumps(out, indent=2))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
