@@ -4,8 +4,7 @@ Per observation: run a fixed budget of ascent steps on the new snapshot's
 two belief rows and store them, normalise those rows once, carry the theta
 gradient g one step on, run a fixed budget on the model parameters (using
 the just-updated beliefs), then fold V and append a trace record.
-Per-observation cost is constant in tau; the opt-in self oracle refilters
-the stream in O(log tau) vectorised steps.
+Per-observation cost is constant in tau.
 
 What one ingest carries to the next is (hmm, history, summaries,
 observations, stalls_total), each held once, on LearnerState.  The
@@ -33,11 +32,12 @@ and learned with the same valid objective; the family name is carried
 through to the outputs but selects nothing.
 
 The carried summaries absorb each time step's terms at the parameter values
-in effect when the step was folded in.  That staleness is the price of the
-constant-cost contract; with parameter updates disabled the carried values
-are bit-identical to recomputing the fold from scratch.  The pure functions
-in elbo/oracle recompute everything at the current parameters and are the
-audit path; its exact objective is one vectorized pass, not a refold.
+in effect when the step was folded in, so g is stale by design; with
+parameter updates disabled they are bit-identical to a refold from scratch.
+ingest computes the learner's own record only.  The oracles are audits that
+run_stream calls after each ingest, reading the learner: self_audit
+recomputes the exact filter and objective at the current parameters, and
+reference_filter carries the exact filter of a fixed model.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -140,25 +140,21 @@ class StreamTrace:
 
 @dataclass
 class LearnerState:
-    """Mutable stream state.  What is carried from one ingest to the next
-    is hmm (the current model, mu and parameters), history (the belief
-    rows), summaries (the record of the newest time step, None before the
-    first), observations and stalls_total; with the settings, these values
-    alone determine every later ingest.  ref_pred and ref_logz carry the
-    reference oracle's filter."""
+    """Mutable stream state: the settings (schedule, family, init_rule) and
+    what is carried from one ingest to the next, hmm (the current model, mu
+    and parameters), history (the belief rows), summaries (the record of
+    the newest time step, None before the first), observations and
+    stalls_total.  With the settings, these values alone determine every
+    later ingest; no oracle state lives here."""
 
     hmm: GenerativeHMM
     schedule: Schedule
     family: MfaFamily = MfaFamily.REVERSED
     init_rule: str = "prediction"
-    oracle_mode: str = "off"
-    reference: Optional[GenerativeHMM] = None
     history: Optional[MfaHistory] = None
     summaries: Optional[elbo_mod.ElboSummaries] = None
     observations: list = field(default_factory=list)
     stalls_total: int = 0
-    ref_pred: Optional[np.ndarray] = None
-    ref_logz: float = 0.0
 
     @property
     def tau(self) -> int:
@@ -171,25 +167,15 @@ class LearnerState:
 
 def init_learner(params: ModelParams, mu, schedule: Schedule,
                  family: MfaFamily = MfaFamily.REVERSED,
-                 init_rule: str = "prediction",
-                 oracle_mode: str = "off",
-                 reference: Optional[GenerativeHMM] = None) -> LearnerState:
-    if oracle_mode not in ("off", "self", "reference"):
-        raise ConstraintError("oracle_mode must be off, self or reference")
-    if oracle_mode == "reference" and reference is None:
-        raise ConstraintError("reference oracle mode needs a reference model")
+                 init_rule: str = "prediction") -> LearnerState:
     if init_rule not in INIT_RULES:
         raise ConstraintError(f"unknown init_rule {init_rule!r}")
     hmm = build_hmm(mu, params)
     if not (hmm.mu > 0.0).all():
         # beliefs put mass on every state: the objective would be -inf
         raise ConstraintError("the learner needs every mu entry > 0")
-    state = LearnerState(hmm=hmm, schedule=schedule, family=family,
-                         init_rule=init_rule, oracle_mode=oracle_mode,
-                         reference=reference)
-    if reference is not None:
-        state.ref_pred = reference.mu.copy()
-    return state
+    return LearnerState(hmm=hmm, schedule=schedule, family=family,
+                        init_rule=init_rule)
 
 
 def _psi_phase(state: LearnerState, o: int) -> tuple:
@@ -247,8 +233,8 @@ def ingest(state: LearnerState, observation: int) -> TraceRecord:
     The observation must be an integer (a Python or numpy one, not a bool)
     in 1..M; anything else raises ConstraintError before the state changes.
     All or nothing: the observation and the history's newest rows are
-    written as the call goes, and the model, summaries, stall count and
-    reference filter are stored once, after the last step that can fail.
+    written as the call goes; the model, summaries and stall count are
+    stored once, after the last step that can fail; oracle columns are None.
     When a step fails, the observation and the rows are dropped and the
     error is raised again: a ConstraintError with the failing tau
     prepended to its message, any other error unchanged.
@@ -284,24 +270,7 @@ def ingest(state: LearnerState, observation: int) -> TraceRecord:
             summaries = elbo_mod.base_summaries(hmm, p[0], log_p[0], o)
         else:
             summaries = elbo_mod.step_summaries(prev, hmm, o, p, log_p, g)
-
-        log_evidence = gap = filter_l1 = None
         elbo_value = elbo_mod.finish(summaries)
-        if state.oracle_mode == "self":
-            marginal, log_evidence = tree_filter(hmm, state.observations)
-            exact, _ = elbo_mod.elbo_recursive(hmm, state.history,
-                                               state.observations)
-            elbo_value = exact
-            gap = log_evidence - exact
-            filter_l1 = float(np.abs(summaries.pi - marginal).sum())
-        elif state.oracle_mode == "reference":
-            ref = state.reference
-            w = state.ref_pred * ref.A[:, o - 1]
-            c = float(w.sum())
-            marg = w / c
-            log_evidence = state.ref_logz + float(np.log(c))
-            filter_l1 = float(np.abs(summaries.pi - marg).sum())
-            ref_pred = ref.B.T @ marg
     except ConstraintError as exc:
         _roll_back(state)
         raise ConstraintError(f"ingest failed at tau={state.tau + 1}: {exc}") from exc
@@ -312,11 +281,9 @@ def ingest(state: LearnerState, observation: int) -> TraceRecord:
     stalls = psi_stalled + theta_stalled
     state.hmm, state.summaries = hmm, summaries
     state.stalls_total += stalls
-    if state.oracle_mode == "reference":
-        state.ref_pred, state.ref_logz = ref_pred, log_evidence
     wall_ms = (time.perf_counter() - t_start) * 1000.0
-    return TraceRecord(tau=state.tau, elbo=elbo_value, log_evidence=log_evidence,
-                       gap=gap, filter_l1=filter_l1, psi_updates=psi_applied,
+    return TraceRecord(tau=state.tau, elbo=elbo_value, log_evidence=None,
+                       gap=None, filter_l1=None, psi_updates=psi_applied,
                        theta_updates=theta_applied, stalls=stalls,
                        wall_ms=wall_ms)
 
@@ -331,10 +298,43 @@ def _roll_back(state: LearnerState) -> None:
         state.history.drop_newest()
 
 
+def self_audit(state: LearnerState, rec: TraceRecord) -> TraceRecord:
+    """The self oracle: rec with the exact filter (O(log tau) vectorised
+    steps) and objective (one pass) at the current model; gap >= 0."""
+    marg, log_evidence = tree_filter(state.hmm, state.observations)
+    exact, _ = elbo_mod.elbo_recursive(state.hmm, state.history,
+                                       state.observations)
+    return replace(rec, elbo=exact, log_evidence=log_evidence,
+                   gap=log_evidence - exact,
+                   filter_l1=float(np.abs(state.summaries.pi - marg).sum()))
+
+
+def reference_filter(reference: GenerativeHMM):
+    """The reference oracle: an audit carrying the exact filter of the fixed
+    model reference, O(K^2) per step.  Its evidence does not bound the
+    learner's objective, so gap stays None."""
+    pred, log_z = reference.mu.copy(), 0.0
+
+    def audit(state: LearnerState, rec: TraceRecord) -> TraceRecord:
+        nonlocal pred, log_z
+        w = pred * reference.A[:, state.observations[-1] - 1]
+        c = float(w.sum())
+        if not c > 0.0:
+            raise ConstraintError("the observation has zero probability "
+                                  "under the reference model")
+        marg = w / c
+        log_z += float(np.log(c))
+        pred = reference.B.T @ marg
+        return replace(rec, log_evidence=log_z,
+                       filter_l1=float(np.abs(state.summaries.pi - marg).sum()))
+    return audit
+
+
 @dataclass
 class RunResult:
     trace: StreamTrace
     state: LearnerState
+    oracle_mode: str
 
 
 def run_stream(initial_params: ModelParams, mu, source: Iterable[int],
@@ -343,15 +343,29 @@ def run_stream(initial_params: ModelParams, mu, source: Iterable[int],
                init_rule: str = "prediction",
                reference: Optional[GenerativeHMM] = None) -> RunResult:
     """Fold a whole observation source; deterministic given the source and
-    schedule.  oracle_mode takes init_learner's values.  An empty source
-    yields an empty trace."""
+    schedule.  oracle_mode "self" runs self_audit after each ingest and
+    "reference" the reference_filter of reference; an audit's ConstraintError
+    is raised as "oracle failed at tau=N: ...".  An empty source yields an
+    empty trace."""
+    if oracle_mode not in ("off", "self", "reference"):
+        raise ConstraintError("oracle_mode must be off, self or reference")
+    if oracle_mode == "reference" and reference is None:
+        raise ConstraintError("reference oracle mode needs a reference model")
+    audit = (reference_filter(reference) if oracle_mode == "reference"
+             else self_audit if oracle_mode == "self" else None)
     state = init_learner(initial_params, mu, schedule, family=family,
-                         init_rule=init_rule, oracle_mode=oracle_mode,
-                         reference=reference)
+                         init_rule=init_rule)
     trace = StreamTrace()
     for obs in source:
-        trace.append(ingest(state, obs))
-    return RunResult(trace=trace, state=state)
+        rec = ingest(state, obs)
+        if audit is not None:
+            try:
+                rec = audit(state, rec)
+            except ConstraintError as exc:
+                raise ConstraintError(
+                    f"oracle failed at tau={rec.tau}: {exc}") from exc
+        trace.append(rec)
+    return RunResult(trace=trace, state=state, oracle_mode=oracle_mode)
 
 
 def summary_dict(result: RunResult) -> dict:
@@ -362,7 +376,7 @@ def summary_dict(result: RunResult) -> dict:
     out = {
         "tau": state.tau,
         "family": state.family.value,
-        "oracle_mode": state.oracle_mode,
+        "oracle_mode": result.oracle_mode,
         "final_params": {
             "alpha_tilde": [[float(x) for x in r] for r in state.params.alpha_tilde],
             "beta_tilde": [[float(x) for x in r] for r in state.params.beta_tilde],

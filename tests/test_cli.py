@@ -162,6 +162,27 @@ def test_fit_oracle_flag_upgrades_off(tmp_path):
     assert summary["oracle_mode"] == "self"
 
 
+def test_fit_exits_2_when_the_reference_model_refuses_an_observation(
+        tmp_path, capsys):
+    # the reference model gives symbol 2 zero probability (A[:, 1] == 0)
+    cfg = {"model": {"K": 2, "M": 2, "mu": [0.5, 0.5],
+                     "alpha_tilde": [[0, -1000], [0, -1000]],
+                     "beta_tilde": [[0, 0], [0, 0]]},
+           "seed": 1, "length": 4, "oracle": "reference"}
+    cfgp = write_json(tmp_path / "c.json", cfg)
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps({"t": t, "o": o}) + "\n"
+                            for t, o in enumerate([1, 2, 1], start=1)))
+    code = run(["fit", "--config", cfgp, "--data", str(data),
+                "--out", str(tmp_path), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: oracle failed at tau=2: the observation has zero "
+        "probability under the reference model\n")
+    assert not (tmp_path / "trace.csv").exists()
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_fit_rejects_states_file_as_data(tmp_path):
     cfg = base_config(length=10, out={"states": "states.jsonl"})
     cfgp = write_json(tmp_path / "c.json", cfg)

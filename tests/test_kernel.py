@@ -22,7 +22,8 @@ from vfe_stream import elbo as elbo_mod
 from vfe_stream import kernel
 from vfe_stream import learner, mfa, model
 from vfe_stream.kernel import ascent_step
-from vfe_stream.learner import Schedule, ingest, init_learner
+from vfe_stream.learner import (Schedule, ingest, init_learner,
+                                reference_filter, self_audit)
 from vfe_stream.mfa import MfaFamily, MfaHistory, augment
 from vfe_stream.model import (ConstraintError, ModelParams, StateSpace,
                               build_hmm, log_softmax, softmax)
@@ -237,14 +238,14 @@ def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
 
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_audit_does_not_refold_the_stream(monkeypatch, K):
-    # with the self oracle on, the only fold step per observation is the
-    # streaming update; the exact objective is one pass with no fold steps
+    # with the self audit after each ingest, the only fold step per
+    # observation is the streaming update; the exact objective is one pass
+    # with no fold steps
     M = 3
     truth = random_hmm(K, M, seed=K)
     state = init_learner(ModelParams.random(StateSpace(K, M), seed=20 + K),
                          truth.mu, Schedule(psi_updates_per_obs=2,
-                                            theta_updates_per_obs=1),
-                         oracle_mode="self")
+                                            theta_updates_per_obs=1))
     calls = collections.Counter()
 
     def counted(name):
@@ -259,7 +260,7 @@ def test_audit_does_not_refold_the_stream(monkeypatch, K):
         counted(name)
     for o in random_obs(M, TAU, seed=K):
         calls.clear()
-        rec = ingest(state, o)
+        rec = self_audit(state, ingest(state, o))
         assert rec.gap is not None
         assert calls["elbo_recursive"] == 1
         assert calls["step_summaries"] == (rec.tau > 1)
@@ -497,6 +498,31 @@ def test_a_learner_rebuilt_from_its_carried_values_goes_on_alike(K, budgets):
             for s in (state, rebuilt)]
     assert rest[0] == rest[1]
     _assert_same_learner(state, rebuilt)
+
+
+@pytest.mark.parametrize("oracle", ["self", "reference"])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_an_audit_leaves_the_learner_and_its_record_alone(K, oracle):
+    # the audits only read the learner: a twin that skips them goes on
+    # bit for bit alike, with the same record outside the oracle columns
+    # (and wall_ms); self_audit overwrites elbo with the exact objective
+    M = 3
+    truth = random_hmm(K, M, seed=K)
+    sched = Schedule(psi_updates_per_obs=6, theta_updates_per_obs=3,
+                     psi_step=1.5, theta_step=2.0)
+    audit = self_audit if oracle == "self" else reference_filter(truth)
+    p0 = ModelParams.random(StateSpace(K, M), seed=20 + K)
+    state, twin = (init_learner(p0, truth.mu, sched) for _ in range(2))
+    own = ["tau", "psi_updates", "theta_updates", "stalls"]
+    if oracle == "reference":
+        own.append("elbo")
+    for o in random_obs(M, TAU, seed=K):
+        audited, plain = audit(state, ingest(state, o)), ingest(twin, o)
+        assert audited.log_evidence is not None
+        assert plain.log_evidence is plain.gap is plain.filter_l1 is None
+        assert [getattr(audited, n) for n in own] == \
+            [getattr(plain, n) for n in own]
+        _assert_same_learner(state, twin)
 
 
 def test_failed_first_ingest_leaves_the_learner_fresh():

@@ -1,6 +1,8 @@
 """Streaming learner: schedules, ascent steps, trace records, the ingest
 loop, oracle columns, determinism, and state alignment."""
 
+import dataclasses
+import inspect
 import json
 import warnings
 
@@ -11,6 +13,7 @@ from helpers import frozen_fingerprint, random_hmm, random_obs
 
 from vfe_stream import elbo as elbo_mod
 from vfe_stream.learner import (
+    LearnerState,
     Schedule,
     StreamTrace,
     TRACE_HEADER,
@@ -179,10 +182,24 @@ def test_init_learner_rejections():
         init_learner(params, hmm.mu, sched, init_rule="magic")
     with pytest.raises(ConstraintError):
         init_learner(params, hmm.mu, sched, init_rule="zeros")
-    with pytest.raises(ConstraintError):
-        init_learner(params, hmm.mu, sched, oracle_mode="sideways")
-    with pytest.raises(ConstraintError):
-        init_learner(params, hmm.mu, sched, oracle_mode="reference")
+
+
+def test_run_stream_oracle_rejections():
+    hmm = two_state_hmm()
+    params = ModelParams.random(StateSpace(K=2, M=2), seed=0)
+    with pytest.raises(ConstraintError, match="off, self or reference"):
+        run_stream(params, hmm.mu, [1], Schedule(), oracle_mode="sideways")
+    with pytest.raises(ConstraintError, match="needs a reference model"):
+        run_stream(params, hmm.mu, [1], Schedule(), oracle_mode="reference")
+
+
+def test_learner_state_holds_only_settings_and_carried_values():
+    # the oracles live in run_stream's audits, not on the learner
+    assert [f.name for f in dataclasses.fields(LearnerState)] == [
+        "hmm", "schedule", "family", "init_rule",
+        "history", "summaries", "observations", "stalls_total"]
+    assert list(inspect.signature(init_learner).parameters) == [
+        "params", "mu", "schedule", "family", "init_rule"]
 
 
 def test_first_belief_follows_init_rule():
@@ -332,6 +349,24 @@ def test_reference_oracle_tracks_fixed_truth_model():
     last = res.trace.records[-1]
     l1 = float(np.abs(res.state.history.belief(10) - filt.marginals[-1]).sum())
     assert abs(last.filter_l1 - l1) < 1e-12
+
+
+def test_reference_oracle_refuses_an_observation_of_zero_probability():
+    # A[:, 1] underflows to exactly 0 in the reference model, so the second
+    # observation has zero probability under it: a refusal that names its
+    # tau, not a -inf evidence, nan distances and numpy warnings
+    ref = hmm_from_config({"K": 2, "M": 2, "mu": [0.5, 0.5],
+                           "alpha_tilde": [[0, -1000], [0, -1000]],
+                           "beta_tilde": [[0, 0], [0, 0]]})
+    assert (ref.A[:, 1] == 0.0).all()
+    params = ModelParams.random(StateSpace(K=2, M=2), seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstraintError, match="^oracle failed at tau=2: "
+                           "the observation has zero probability under the "
+                           "reference model$"):
+            run_stream(params, ref.mu, [1, 2, 1], Schedule(),
+                       oracle_mode="reference", reference=ref)
 
 
 def test_seeded_stream_tracks_evidence():
