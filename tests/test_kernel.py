@@ -170,17 +170,31 @@ def test_kernel_matches_validated_reference(K, M, family, budgets):
         assert state.params is p0
 
 
-@pytest.mark.parametrize("budgets", [(0, 0), (6, 0), (0, 3), (9, 3)])
+BUDGETS = [(0, 0), (6, 0), (0, 3), (9, 3)]
+
+
+@pytest.mark.parametrize("budgets", BUDGETS)
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
                                                             budgets):
-    # each observation costs one gradient evaluation per ascent step (none
-    # for psi at K = 1, where every belief coordinate is pinned), one theta
-    # gradient evaluation that carries g on from tau = 2, one fold step and
-    # at most one model rebuild, which validates nothing already validated,
-    # whatever tau is; nothing refolds the stream, and without a stall no
-    # step is replayed
-    M = 3
+    _check_work_per_observation(monkeypatch, K, 3, budgets)
+
+
+@pytest.mark.parametrize("budgets", BUDGETS)
+def test_two_wide_work_per_observation_does_not_grow_with_the_stream(
+        monkeypatch, budgets):
+    # K = M = 2: both loops run on floats, every row two wide
+    _check_work_per_observation(monkeypatch, 2, 2, budgets)
+
+
+def _check_work_per_observation(monkeypatch, K, M, budgets):
+    # each observation costs one row update per two-wide row and ascent step
+    # on the float path, one gradient evaluation per ascent step on the numpy
+    # path (none for psi at K = 1, where every belief coordinate is pinned),
+    # one theta gradient evaluation that carries g on from tau = 2, one fold
+    # step and at most one model rebuild, which validates nothing already
+    # validated, whatever tau is; nothing refolds the stream, and without a
+    # stall no step is replayed
     truth = random_hmm(K, M, seed=K)
     sched = Schedule(psi_updates_per_obs=budgets[0],
                      theta_updates_per_obs=budgets[1], psi_step=1.5,
@@ -215,11 +229,14 @@ def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
     counted_gradient("psi_gradient")
     counted_gradient("theta_gradient")
     counted(kernel, "ascent_step")
+    counted(kernel, "_exp")
     counted(elbo_mod, "fold_step")
     counted(learner, "build_hmm")
     counted(learner, "rebuild_hmm")
     monkeypatch.setattr(elbo_mod, "scratch_summaries", refused)
     monkeypatch.setattr(elbo_mod, "elbo_recursive", refused)
+    psi_floats, theta_floats = K == 2, max(K, M) == 2
+    two_wide_theta_rows = K * (M == 2) + K * (K == 2)
     observations = state.observations
     for o in random_obs(M, TAU, seed=K):
         calls.clear()
@@ -228,8 +245,14 @@ def test_work_per_observation_does_not_grow_with_the_stream(monkeypatch, K,
         assert state.observations is observations
         assert rec.stalls == 0
         assert (rec.psi_updates, rec.theta_updates) == budgets
-        assert calls["psi_gradient"] == (budgets[0] if K > 1 else 0)
-        assert calls["theta_gradient"] == budgets[1] + (rec.tau > 1)
+        blocks = min(rec.tau, 2)
+        assert calls["psi_gradient"] == (budgets[0] if K > 1 and not
+                                         psi_floats else 0)
+        assert calls["theta_gradient"] == \
+            (0 if theta_floats else budgets[1]) + (rec.tau > 1)
+        assert calls["_exp"] == \
+            psi_floats * budgets[0] * blocks \
+            + theta_floats * budgets[1] * two_wide_theta_rows
         assert calls["ascent_step"] == 0
         assert calls["fold_step"] == (rec.tau > 1)
         assert calls["build_hmm"] == 0
@@ -423,6 +446,117 @@ def test_stall_at_step_k_matches_the_checked_loop(monkeypatch, loop, k, bad):
     assert got[1:] == want[1:]
     assert got[0].tobytes() == want[0].tobytes()
     assert got[0].size == x0.size and np.isfinite(got[0]).all()
+
+
+def _log_step(rng):
+    """A step size, log-uniform over 1e-2..1e2 or over the top two decades
+    of the floats, where a step can overflow a logit and the next gradient
+    then stalls; half of them numpy floats, which must not turn the loop's
+    arithmetic into numpy scalar arithmetic."""
+    low, high = (-2.0, 2.0) if rng.random() < 0.5 else (306.5, 308.25)
+    step = 10.0 ** rng.uniform(low, high)
+    return np.float64(step) if rng.random() < 0.5 else step
+
+
+def _steps(rng):
+    """Mostly 1-4 steps, so that some runs end on an overflow (one step)
+    rather than a stall; at times bench-k2's 80."""
+    return int(rng.integers(1, 5)) if rng.random() < 0.8 else 80
+
+
+def _pinned_zero(rng):
+    """The pinned logits' value: +0.0, or at times -0.0, which equals it
+    but keeps the numpy loop (it turns a pinned -0.0 into +0.0)."""
+    return -0.0 if rng.random() < 0.1 else 0.0
+
+
+def _spoilt(rng, a, bad=(np.nan, np.inf, -np.inf)):
+    """a, or at times a copy with one entry drawn from bad."""
+    if a is None or rng.random() >= 0.05:
+        return a
+    a = a.copy()
+    a.flat[rng.integers(a.size)] = rng.choice(bad)
+    return a
+
+
+def _psi_draw(rng, n):
+    x = rng.normal(scale=5.0, size=(n, 2))
+    x[:, 0] = _pinned_zero(rng)
+    W = _spoilt(rng, rng.normal(scale=200.0, size=2))
+    G = _spoilt(rng, np.log(rng.dirichlet(np.ones(2), size=2))
+                if n == 2 else None)
+    steps = _steps(rng)
+    step = _log_step(rng)
+    return ((x, W, G, steps, step), x[:, 0],
+            lambda: kernel.psi_ascent(x, W, G, steps, step),
+            lambda: _numpy_psi_ascent(x, W, G, steps, step))
+
+
+def _numpy_psi_ascent(x, W, G, steps, step):
+    y, applied, stalled = kernel._ascend(
+        x.ravel(), kernel.psi_gradient(W, G, *x.shape), steps, step)
+    return y.reshape(x.shape), applied, stalled
+
+
+def _theta_draw(rng, K, M):
+    rows = kernel._theta_layout(K, M)[0]
+    theta = rng.normal(scale=5.0, size=K * M + K * K)
+    g = rng.normal(scale=10.0 ** rng.uniform(-2.0, 1.0), size=theta.size)
+    theta[rows.starts] = _pinned_zero(rng)
+    g[rows.starts] = _pinned_zero(rng)
+    # nan only: an infinite belief makes theta_gradient's weights warn on
+    # either path, as 0 * inf at a pinned coordinate
+    pb = _spoilt(rng, rng.dirichlet(np.ones(K)), (np.nan,))
+    pa = _spoilt(rng, None if rng.random() < 0.25
+                 else rng.dirichlet(np.ones(K)), (np.nan,))
+    o_idx = int(rng.integers(M))
+    steps = _steps(rng)
+    step = _log_step(rng)
+    gradient = kernel.theta_gradient(g, pa, pb, o_idx)
+    return ((theta, g, pa, pb, o_idx, steps, step),
+            np.r_[theta[rows.starts], g[rows.starts]],
+            lambda: kernel.theta_ascent(theta, g, pa, pb, o_idx, steps, step),
+            lambda: kernel._ascend(theta, gradient, steps, step))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "loop, shape",
+    [("psi", 1), ("psi", 2), ("theta", (1, 2)), ("theta", (2, 1)),
+     ("theta", (2, 2))],
+    ids=["psi-n1", "psi-n2", "theta-K1M2", "theta-K2M1", "theta-K2M2"])
+def test_float_path_is_the_numpy_path_bit_for_bit(monkeypatch, loop, shape):
+    # every row two wide: the float loop must return the numpy loop's
+    # (x, applied, stalled) exactly, and hand over to it only when the
+    # numpy loop's own unchecked end point is not finite (a pinned -0.0
+    # goes to the numpy loop at once); numpy warnings are errors, so no
+    # scalar arithmetic of numpy's may leak one
+    rng = np.random.default_rng(23)
+    ascend = kernel._ascend
+    handovers = []
+    monkeypatch.setattr(kernel, "_ascend",
+                        lambda *a: handovers.append(1) or ascend(*a))
+    seen = collections.Counter()
+    for _ in range(600):
+        if loop == "psi":
+            args, pinned, run, reference = _psi_draw(rng, shape)
+        else:
+            args, pinned, run, reference = _theta_draw(rng, *shape)
+        del handovers[:]
+        got = run()
+        handed_over = bool(handovers)
+        want = reference()
+        assert got[0].shape == want[0].shape and got[0].dtype == want[0].dtype
+        assert got[0].tobytes() == want[0].tobytes(), args
+        assert got[1:] == want[1:], args
+        overflowed = want[2] or not np.isfinite(want[0]).all()
+        negative_zero = np.signbit(pinned).any()
+        assert handed_over == (overflowed or negative_zero), args
+        seen["stalled" if want[2] else "overflowed" if overflowed
+             else "negative zero" if negative_zero else "float"] += 1
+    # both sides of the hand-over, a stall behind it, and the -0.0 guard
+    assert min(seen[k] for k in ("float", "overflowed", "stalled",
+                                 "negative zero")) >= 10, seen
 
 
 def test_cached_layouts_are_shared_and_read_only():

@@ -12,6 +12,7 @@ import pytest
 from helpers import frozen_fingerprint, random_hmm, random_obs
 
 from vfe_stream import elbo as elbo_mod
+from vfe_stream import learner as learner_mod
 from vfe_stream.learner import (
     LearnerState,
     Schedule,
@@ -470,6 +471,24 @@ def test_align_states_reports_worst_row_distance():
     perm, tv = align_states(A_hat, B_true, A_true, B_true)
     assert tuple(perm) == (0, 1)
     assert abs(tv - 0.1) < 1e-12
+
+
+def test_align_states_refuses_k_above_eight_before_enumerating(monkeypatch):
+    # K! relabelings: 8! take about a second, 9! nine times that; K = 9 is
+    # refused before the first, K = 8 still enumerated
+    tried = []
+
+    def permutations(items):
+        tried.append(1)
+        return iter([tuple(items)])
+    monkeypatch.setattr(learner_mod.itertools, "permutations", permutations)
+    eight, nine = random_hmm(K=8, M=2, seed=1), random_hmm(K=9, M=2, seed=1)
+    with pytest.raises(ConstraintError, match="K = 9"):
+        align_states(nine.A, nine.B, nine.A, nine.B)
+    assert not tried
+    perm, tv = align_states(eight.A, eight.B, eight.A, eight.B)
+    assert tuple(perm) == tuple(range(8)) and tv == 0.0
+    assert tried == [1]
 
 
 def test_align_states_recovers_three_state_relabeling():

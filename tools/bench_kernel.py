@@ -20,7 +20,9 @@ AUDIT_CALLS or ORACLE_CALLS calls, or INGEST_CALLS ingests), divided by the
 step or call count: the minimum is the timing least disturbed by other load
 on a shared host.  The ingest group also gives the quartiles of its REPEATS
 batches, so a reader can tell whether a difference between two checkouts
-lies inside the spread of one.
+lies inside the spread of one, and the median CPU time per ingest
+(time.process_time), which time spent waiting on other processes does not
+inflate.
 The inputs are seeded and the same for every checkout, so two checkouts
 can be compared by running the script against each source tree; naming
 groups (shapes, audit_objective, history, ingest, oracle) runs only those:
@@ -174,18 +176,21 @@ def bench_ingest(psi: int, theta: int) -> dict:
                          cfg.hmm.mu, sched)
     for o in obs[:INGEST_WARM]:
         ingest(state, o)
-    times = []
+    times, cpu = [], []
     for r in range(REPEATS):
         batch = obs[INGEST_WARM + r * INGEST_CALLS:][:INGEST_CALLS]
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         for o in batch:
             ingest(state, o)
         times.append(time.perf_counter() - t0)
+        cpu.append(time.process_time() - c0)
     us = 1e6 * np.array(times) / INGEST_CALLS
     q1, median, q3 = (round(float(q), 1) for q in np.percentile(us, [25, 50, 75]))
     return {"psi_updates_per_obs": psi, "theta_updates_per_obs": theta,
             "us_per_ingest": round(float(us.min()), 1),
-            "q1": q1, "median": median, "q3": q3}
+            "q1": q1, "median": median, "q3": q3,
+            "cpu_us_median": round(1e6 * float(np.median(cpu)) / INGEST_CALLS,
+                                   1)}
 
 
 def bench_oracle(K: int, tau: int) -> dict:
