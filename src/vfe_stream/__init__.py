@@ -3,10 +3,13 @@
 The package is organized as:
 
 - model: generative model, pinned softmax parametrization, sampling
-- oracle: exact filtering/smoothing/enumeration and finite differences
+- oracle: exact filtering/smoothing/enumeration, its guard and finite
+  differences
 - mfa: mean-field approximation state, augmentation and serialization
-- kernel: raw-array ascent loops, their psi and theta gradients, the fold
-- elbo: recursive objective, carried summaries and the exact gradient audit
+- kernel: raw-array ascent loops, their psi and theta gradients and the flat
+  theta layout
+- elbo: recursive objective, the V fold, carried summaries and the exact
+  gradient audit
 - learner: streaming ascent schedule and trace recording
 - cli: generate / fit / compare / gradcheck commands
 """
@@ -44,7 +47,6 @@ from .mfa import (
 )
 from .elbo import (
     ElboSummaries,
-    ThetaGrad,
     elbo_recursive,
     finish,
     grad_psi,
@@ -89,7 +91,6 @@ __all__ = [
     "augment",
     "full_q",
     "ElboSummaries",
-    "ThetaGrad",
     "elbo_recursive",
     "finish",
     "grad_psi",

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import elbo as elbo_mod
+from . import kernel
 from .learner import Schedule, run_stream, summary_dict
 from .mfa import INIT_RULES, MfaFamily, MfaHistory, full_q
 from .model import (
@@ -31,9 +32,9 @@ from .model import (
     sample_trajectory,
 )
 from .oracle import (
-    ENUMERATION_GUARD,
     GuardError,
     brute_force_elbo,
+    check_enumeration,
     finite_diff_grad,
     forward_filter,
     enumerate_posterior,
@@ -406,13 +407,18 @@ def _gradcheck_instance(K: int, M: int, tau: int, seed: int,
     bf = brute_force_elbo(hmm, q.table, obs)
     recursion_err = abs(rec - bf)
 
+    # the free coordinates of the flat theta
+    theta = kernel.params_vector(params)
+    free = list(kernel.theta_free(K, M))
+
     def f_theta(v):
-        p2 = elbo_mod.params_from_free(space, v)
+        t = theta.copy()
+        t[free] = v
+        p2 = ModelParams(*kernel.theta_rows(t, K, M))
         return elbo_mod.elbo_recursive(build_hmm(mu, p2), hist, obs)[0]
 
-    theta_err = max_grad_error(
-        elbo_mod.grad_theta(hmm, hist, obs).free_vector(),
-        finite_diff_grad(f_theta, elbo_mod.params_free_vector(params)))
+    theta_err = max_grad_error(elbo_mod.grad_theta(hmm, hist, obs)[free],
+                               finite_diff_grad(f_theta, theta[free]))
 
     # the free coordinates of the updatable rows
     x = hist.updatable_logits()
@@ -454,9 +460,7 @@ def cmd_gradcheck(doc: dict, out_dir: str, quiet: bool) -> int:
         raise ConfigError("K, M, tau, instances must be >= 1")
     _check_seed(seed0, "seed")
     _check_seed(seed0 + instances - 1, "seed + instances - 1")
-    if K ** tau > ENUMERATION_GUARD:
-        raise ConfigError(f"K^tau = {K ** tau} exceeds the enumeration guard "
-                          f"{ENUMERATION_GUARD}")
+    check_enumeration(K, tau)
     report_path = _report_path(doc, out_dir, "gradcheck.json")
     _make_out_dirs(report_path)
 

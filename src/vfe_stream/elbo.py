@@ -34,10 +34,12 @@ Cost per fold step is O(K^2 + dim(theta)), independent of tau, which is the
 whole point: the learner carries the summaries across observations instead
 of recomputing the fold.  What it carries is one record, ElboSummaries: V_t
 and g_t with the final marginals of the rows written at t, pi_{t-1}, pi_t
-and ln pi_t.  The next step reads everything it needs of time t from that
-record: the augmentation predicts from pi_t, the psi phase and the fold read
-ln pi_t as the superseded log marginal, and the g carry reads pi_{t-1}.
-The fold step's arithmetic lives in kernel.fold_step.  The step functions
+and ln pi_t; t itself is the number of observations, held by the caller.
+The next step reads everything it needs of time t from that record: the
+augmentation predicts from pi_t, the psi phase and the fold read ln pi_t as
+the superseded log marginal, and the g carry reads pi_{t-1}.  The fold step
+(step_summaries) is the V recursion above, written once.  The parameter
+layout, theta and its gradient, is the kernel's.  The step functions
 (step_inputs, carried_gradient, base_summaries, step_summaries, finish) take
 the record and the marginals of the newest rows as arrays, never the
 history, and the live learner and the audit fold call the same ones.  The
@@ -61,55 +63,12 @@ import numpy as np
 from .model import (
     ConstraintError,
     GenerativeHMM,
-    ModelParams,
-    StateSpace,
     _check_values,
     log_softmax,
     softmax_and_log,
 )
 from . import kernel
-from .kernel import fold_step
 from .mfa import MfaHistory
-
-
-# -- gradient containers ------------------------------------------------------
-
-@dataclass(frozen=True)
-class ThetaGrad:
-    """Dense parameter gradient with pinned coordinates identically zero."""
-
-    dalpha: np.ndarray  # (K, M)
-    dbeta: np.ndarray   # (K, K)
-
-    def free_vector(self) -> np.ndarray:
-        return np.concatenate([self.dalpha[:, 1:].ravel(),
-                               self.dbeta[:, 1:].ravel()])
-
-
-def params_free_vector(params: ModelParams) -> np.ndarray:
-    return np.concatenate([params.alpha_tilde[:, 1:].ravel(),
-                           params.beta_tilde[:, 1:].ravel()])
-
-
-def params_vector(params: ModelParams) -> np.ndarray:
-    """The kernel's flat theta: [alpha_tilde.ravel(), beta_tilde.ravel()]."""
-    return np.concatenate([params.alpha_tilde.ravel(),
-                           params.beta_tilde.ravel()])
-
-
-def params_from_free(space: StateSpace, vec: np.ndarray) -> ModelParams:
-    K, M = space.K, space.M
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (K * (M - 1) + K * (K - 1),):
-        raise ConstraintError("free vector has wrong length")
-    at = np.zeros((K, M))
-    bt = np.zeros((K, K))
-    na = K * (M - 1)
-    if M > 1:
-        at[:, 1:] = vec[:na].reshape(K, M - 1)
-    if K > 1:
-        bt[:, 1:] = vec[na:].reshape(K, K - 1)
-    return ModelParams(alpha_tilde=at, beta_tilde=bt)
 
 
 # -- carried summaries --------------------------------------------------------
@@ -126,7 +85,6 @@ class ElboSummaries:
 
     v: np.ndarray
     g: np.ndarray
-    t: int
     pi_prev: Optional[np.ndarray]
     pi: np.ndarray
     log_pi: np.ndarray
@@ -144,16 +102,16 @@ def base_summaries(hmm: GenerativeHMM, p: np.ndarray, log_p: np.ndarray,
     """The record at t = 1 for observation value o (1-based), given the
     marginal p = pi_1 and its log."""
     v = hmm.log_mu() + hmm.log_A[:, _observation_index(hmm, o)] - log_p
-    return ElboSummaries(v=v, g=np.zeros(hmm.K * hmm.M + hmm.K * hmm.K), t=1,
+    return ElboSummaries(v=v, g=np.zeros(hmm.K * hmm.M + hmm.K * hmm.K),
                          pi_prev=None, pi=p, log_pi=log_p)
 
 
 def carried_gradient(prev: ElboSummaries, pb: np.ndarray, theta: np.ndarray,
                      o_prev: int) -> np.ndarray:
-    """g at time prev.t + 1: prev.g plus the gradient of time prev.t's
-    terms at the flat theta, given that time's observation value o_prev
-    (1-based), its final marginal pb (the revision written at prev.t + 1)
-    and prev.pi_prev, the final marginal of prev.t - 1."""
+    """g at time t + 1, for prev the record at t: prev.g plus the gradient
+    of time t's terms at the flat theta, given that time's observation
+    value o_prev (1-based), its final marginal pb (the revision written at
+    t + 1) and prev.pi_prev, the final marginal of t - 1."""
     return kernel.theta_gradient(prev.g, prev.pi_prev, pb,
                                  int(o_prev) - 1)(theta)
 
@@ -161,15 +119,17 @@ def carried_gradient(prev: ElboSummaries, pb: np.ndarray, theta: np.ndarray,
 def step_summaries(prev: ElboSummaries, hmm: GenerativeHMM, o: int,
                    p: np.ndarray, log_p: np.ndarray,
                    g: np.ndarray) -> ElboSummaries:
-    """One fold step: the record at t = prev.t + 1, for observation value o
-    and g, the carried gradient at t.  p and log_p are the (2, K)
-    marginals of the rows written at t, the revision of t - 1 and the row
-    for t, and their logs; the superseded log marginal of t - 1 is
-    prev.log_pi."""
-    v = fold_step(prev.v, log_p[0], log_p[1], prev.log_pi, hmm.log_A,
-                  hmm.log_B, _observation_index(hmm, o))
-    return ElboSummaries(v=v, g=g, t=prev.t + 1, pi_prev=p[0], pi=p[1],
-                         log_pi=log_p[1])
+    """One fold step: the record at t, for prev the record at t - 1,
+    observation value o and g, the carried gradient at t.  p and log_p are
+    the (2, K) marginals of the rows written at t, the revision w of t - 1
+    and the row for t, and their logs; the superseded log marginal of
+    t - 1 is prev.log_pi.  V_t = w . (V_{t-1} + ln sup - ln w)
+    + w @ ln B + ln A[:, o] - ln curr, as sum_k w(k) = 1."""
+    o_idx = _observation_index(hmm, o)
+    w = np.exp(log_p[0])  # not p[0], which can differ in the last bit
+    base = float(w @ (prev.v + prev.log_pi - log_p[0]))
+    v = base + w @ hmm.log_B + hmm.log_A[:, o_idx] - log_p[1]
+    return ElboSummaries(v=v, g=g, pi_prev=p[0], pi=p[1], log_pi=log_p[1])
 
 
 def finish(s: ElboSummaries) -> float:
@@ -191,7 +151,7 @@ def _fold(hmm: GenerativeHMM, p: np.ndarray, log_p: np.ndarray,
     """The fold from t = 1 at the current parameters, over the marginals p
     and log marginals log_p of the stored rows (MfaHistory.rows' layout)
     for the 1-based observations o, one per time step."""
-    theta = params_vector(hmm.params)
+    theta = kernel.params_vector(hmm.params)
     s = base_summaries(hmm, p[0], log_p[0], int(o[0]))
     for t in range(2, o.shape[0] + 1):
         rows = slice(2 * t - 3, 2 * t - 1)  # written at t
@@ -246,14 +206,14 @@ def step_inputs(hmm: GenerativeHMM, prev: Optional[ElboSummaries],
 
 
 def grad_theta(hmm: GenerativeHMM, history: MfaHistory,
-               observations: Sequence[int]) -> ThetaGrad:
-    """Exact parameter gradient of elbo_recursive at the current theta:
+               observations: Sequence[int]) -> np.ndarray:
+    """Exact parameter gradient of elbo_recursive at the current theta, in
+    the kernel's flat layout with every pinned entry exactly 0:
     kernel.theta_gradient at the g of scratch_summaries."""
     o = _checked_observations(hmm, history, observations) + 1
     s = _fold(hmm, *softmax_and_log(history.rows), o)
     gradient = kernel.theta_gradient(s.g, s.pi_prev, s.pi, int(o[-1]) - 1)
-    dense = gradient(params_vector(hmm.params))
-    return ThetaGrad(*kernel.theta_rows(dense, hmm.K, hmm.M))
+    return gradient(kernel.params_vector(hmm.params))
 
 
 def grad_psi(hmm: GenerativeHMM, history: MfaHistory,

@@ -4,17 +4,19 @@ The belief (psi) ascent and the parameter (theta) ascent are one operation:
 gradient steps on a flat vector of pinned softmax rows (each row's first
 logit stays 0), with all rows' softmax taken in one segmented pass.  psi
 stacks the updatable belief blocks; theta is laid out as
-[alpha_tilde.ravel(), beta_tilde.ravel()].  The loops step along
-psi_gradient and theta_gradient, which elbo's gradient audit evaluates
-too, and theta_gradient also carries the learner's summed theta gradient
-from one time step to the next.  The V fold step is here as well.
+[alpha_tilde.ravel(), beta_tilde.ravel()] (params_vector, theta_rows), the
+one parameter layout of the package, with its free coordinates at
+theta_free.  The loops step along psi_gradient and theta_gradient, which
+elbo's gradient audit evaluates too, and theta_gradient also carries the
+learner's summed theta gradient from one time step to the next.
 
-Path rule.  When every row in a loop is at most two wide (psi at K = 2;
-theta at K <= 2 and M <= 2) and every pinned logit is +0.0, each row has
-one free logit and the loop runs on Python floats: on so few numbers a
-numpy call costs about as much as a step's whole arithmetic.  Wider rows
-keep the numpy loop, which is also the reference the float loops are held
-to, bit for bit.  They replay its operations in its order: the shift by
+Path rule.  When every row in a loop is at most two wide (psi at K = 2
+with its two blocks; theta at K <= 2 and M <= 2) and every pinned logit is
++0.0, each row has one free logit and the loop runs on Python floats: on so
+few numbers a numpy call costs about as much as a step's whole arithmetic.
+Wider rows, and psi's one block at horizon 1 (once per stream), keep the
+numpy loop, which is also the reference the float loops are held to, bit
+for bit.  They replay its operations in its order: the shift by
 the row maximum, which makes that entry exp(0.0) = 1 and leaves one exp
 per row; c as (W - x) + H p, with H p written G00*p0 + G01*p1 (the matrix
 product's own sum when each entry has two nonzero products); the centring
@@ -148,14 +150,13 @@ def psi_ascent(x: np.ndarray, W: np.ndarray, G, steps: int,
     """Ascent along psi_gradient on the (n, K) updatable belief logits,
     returning (x, applied, stalled).  With no step to take, or at K = 1,
     where every coordinate is pinned and each step would add step * 0, x is
-    returned with no gradient built or evaluated.  At K = 2 the steps run
-    on Python floats (the module's path rule)."""
+    returned with no gradient built or evaluated.  At K = 2 with two blocks
+    the steps run on Python floats (the module's path rule)."""
     n, K = x.shape
     if K == 1 or steps == 0:
         return x, steps, False
-    if K == 2 and _zero_bits(x[:, 0]):
-        free = _psi_pairs(x[:, 1].tolist(), W.tolist(),
-                          None if G is None else G.tolist(), steps,
+    if K == 2 and n == 2 and _zero_bits(x[:, 0]):
+        free = _psi_pairs(x[:, 1].tolist(), W.tolist(), G.tolist(), steps,
                           float(step))
         if all(map(math.isfinite, free)):
             return np.array([[0.0, y] for y in free]), steps, False
@@ -164,24 +165,14 @@ def psi_ascent(x: np.ndarray, W: np.ndarray, G, steps: int,
     return x.reshape(n, K), applied, stalled
 
 
-def _psi_pairs(free: list, W: list, G, steps: int, step: float) -> list:
-    """psi_gradient's steps, unchecked, on the free logits of n = 1 or 2
+def _psi_pairs(free: list, W: list, G: list, steps: int,
+               step: float) -> list:
+    """psi_gradient's steps, unchecked, on the free logits of the two
     pinned rows [0.0, y] (W and G as lists).  Each row's shifted exps are
     (exp(-y), 1) when y > 0, else (1, exp(y)): one exp of -|y|.  In
     c = W' - x + H p the pinned logits are +0.0, so W0 - 0.0 = W0 and
-    0.0 - 0.0 = 0.0, and at n = 1 H p is the zero vector."""
+    0.0 - 0.0 = 0.0."""
     W0, W1 = W
-    if G is None:
-        (a,) = free
-        c0 = W0 + 0.0
-        for _ in range(steps):
-            ea = float(_exp(-abs(a)))
-            ea0, ea1 = (ea, 1.0) if a > 0.0 else (1.0, ea)
-            sa = ea0 + ea1
-            pa0, pa1 = ea0 / sa, ea1 / sa
-            c1 = (W1 - a) + 0.0
-            a = a + step * (pa1 * (c1 - (pa0 * c0 + pa1 * c1)))
-        return [a]
     (G00, G01), (G10, G11) = G
     a, b = free
     for _ in range(steps):
@@ -201,9 +192,22 @@ def _psi_pairs(free: list, W: list, G, steps: int, step: float) -> list:
 
 # -- parameters ---------------------------------------------------------------
 
+def params_vector(params) -> np.ndarray:
+    """The flat theta of a ModelParams: [alpha_tilde.ravel(),
+    beta_tilde.ravel()]."""
+    return np.concatenate([params.alpha_tilde.ravel(),
+                           params.beta_tilde.ravel()])
+
+
 def theta_rows(theta: np.ndarray, K: int, M: int) -> tuple:
     """(alpha_tilde, beta_tilde) views of a flat theta vector."""
     return theta[: K * M].reshape(K, M), theta[K * M:].reshape(K, K)
+
+
+def theta_free(K: int, M: int) -> tuple:
+    """The indices of theta's free coordinates, every row's pinned first
+    logit left out."""
+    return _theta_layout(K, M)[0].free_at
 
 
 def theta_gradient(g: np.ndarray, pa, pb: np.ndarray, o_idx: int):
@@ -279,15 +283,3 @@ def _theta_pairs(x: list, g: list, w: list, t: list, free: tuple,
             y = y + step * (gi + wi * (ti - p1))
         x[i] = y
     return x
-
-
-# -- the V fold ---------------------------------------------------------------
-
-def fold_step(v: np.ndarray, log_w: np.ndarray, log_curr: np.ndarray,
-              log_sup: np.ndarray, log_A: np.ndarray, log_B: np.ndarray,
-              o_idx: int) -> np.ndarray:
-    """Advance V by one time step given the step's log revision, current
-    and superseded marginals."""
-    w = np.exp(log_w)
-    base = float(w @ (v + log_sup - log_w))
-    return base + w @ log_B + log_A[:, o_idx] - log_curr

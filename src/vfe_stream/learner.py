@@ -13,7 +13,8 @@ final marginals pi_{tau-1}, pi_tau and ln pi_tau, which the ingest's one
 softmax-and-log pass over the rows the psi phase wrote gives.  The next
 ingest's starting rows, psi phase, g carry and fold read them from that
 record, so no stored row is normalised twice.  tau is the number of
-observations and the parameters are the model's; neither is stored apart.
+observations and the parameters are the model's; neither is stored apart,
+and the record holds no time index of its own.
 An ingest stores the model, summaries and stall count once, after its last
 step that can fail, so a failed one has only its observation and its
 history rows to drop.
@@ -257,7 +258,7 @@ def ingest(state: LearnerState, observation: int) -> TraceRecord:
         # tau - 1, current of tau) or the one row at tau = 1
         p, log_p = softmax_and_log(x)
         pa = None if prev is None else p[0]
-        theta = elbo_mod.params_vector(state.hmm.params)
+        theta = kernel.params_vector(state.hmm.params)
         if prev is None:
             g = np.zeros_like(theta)
         else:

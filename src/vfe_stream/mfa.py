@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ConstraintError, GenerativeHMM, softmax
-from .oracle import ENUMERATION_GUARD, GuardError
+from .oracle import check_enumeration
 
 
 class MfaFamily(Enum):
@@ -278,11 +278,7 @@ def full_q(history: MfaHistory, family: MfaFamily = MfaFamily.REVERSED) -> FullQ
     marginals.  The two agree up to rounding, because the factors telescope.
     """
     K, tau = history.K, history.horizon
-    if K**tau > ENUMERATION_GUARD:
-        raise GuardError(
-            f"materializing K^tau = {K}^{tau} sequences exceeds the "
-            f"{ENUMERATION_GUARD} guard"
-        )
+    check_enumeration(K, tau)
     if family is MfaFamily.REVERSED:
         table = history.superseded(1).copy()
         for t in range(2, tau + 1):

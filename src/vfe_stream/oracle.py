@@ -129,8 +129,12 @@ def forward_backward(hmm: GenerativeHMM, observations: Sequence[int]) -> Smoothi
                            log_evidence=filt.log_evidence)
 
 
-def _guard(K: int, tau: int) -> None:
-    if K**tau > ENUMERATION_GUARD:
+def check_enumeration(K: int, tau: int) -> None:
+    """Raise GuardError when K^tau sequences exceed ENUMERATION_GUARD.  From
+    tau = ENUMERATION_GUARD.bit_length() on, 2^tau alone exceeds the guard,
+    so every K >= 2 is refused there without K^tau ever being formed."""
+    if K > 1 and (tau >= ENUMERATION_GUARD.bit_length()
+                  or K**tau > ENUMERATION_GUARD):
         raise GuardError(
             f"enumeration over K^tau = {K}^{tau} sequences exceeds the "
             f"{ENUMERATION_GUARD} guard"
@@ -143,7 +147,7 @@ def enumerate_log_joint(hmm: GenerativeHMM, observations: Sequence[int]) -> np.n
     tau = o.shape[0]
     if tau == 0:
         raise ConstraintError("observations must be non-empty")
-    _guard(hmm.K, tau)
+    check_enumeration(hmm.K, tau)
     table = hmm.log_mu() + hmm.log_A[:, o[0]]
     for t in range(1, tau):
         step = hmm.log_B + hmm.log_A[:, o[t]][None, :]  # (prev, next)

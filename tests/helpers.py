@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from vfe_stream import kernel
 from vfe_stream.model import (ConstraintError, ModelParams, StateSpace,
                               _check_values, build_hmm, log_softmax)
 
@@ -30,6 +31,22 @@ def random_hmm(K: int, M: int, seed: int, scale: float = 2.0):
 def random_obs(M: int, tau: int, seed: int) -> list:
     rng = np.random.default_rng(1000 + seed)
     return [int(rng.integers(1, M + 1)) for _ in range(tau)]
+
+
+def free_theta(params: ModelParams) -> tuple:
+    """(x0, free, params_at): the free coordinates of the flat theta of
+    params, their indices in it, and params_at(x), the parameters with those
+    coordinates set to x."""
+    K, M = params.K, params.M
+    theta = kernel.params_vector(params)
+    free = list(kernel.theta_free(K, M))
+
+    def params_at(x) -> ModelParams:
+        t = theta.copy()
+        t[free] = x
+        return ModelParams(*kernel.theta_rows(t, K, M))
+
+    return theta[free], free, params_at
 
 
 def log_joint(hmm, trajectory) -> float:

@@ -14,8 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (frozen_fingerprint, hat_elbo, near_identity_params,
-                     pairwise_tables_from_history, random_hmm, random_obs)
+from helpers import (free_theta, frozen_fingerprint, hat_elbo,
+                     near_identity_params, pairwise_tables_from_history,
+                     random_hmm, random_obs)
 
 from vfe_stream import elbo as elbo_mod
 from vfe_stream.cli import (
@@ -98,18 +99,15 @@ def test_gradients_match_finite_differences():
     worst_theta = worst_psi = 0.0
     for i in range(50):
         hmm, hist, obs = seeded_instance(i, max_tau=5)
-        K, M = hmm.K, hmm.M
-        space = StateSpace(K, M)
-        params = elbo_mod.params_from_free(
-            space, elbo_mod.params_free_vector(
-                ModelParams.from_matrices(hmm.A, hmm.B)))
-        free0 = elbo_mod.params_free_vector(params)
+        K = hmm.K
+        free0, free, params_at = free_theta(
+            ModelParams.from_matrices(hmm.A, hmm.B))
 
         def f_theta(v):
-            h2 = build_hmm(hmm.mu, elbo_mod.params_from_free(space, v))
+            h2 = build_hmm(hmm.mu, params_at(v))
             return elbo_mod.elbo_recursive(h2, hist, obs)[0]
 
-        g = elbo_mod.grad_theta(hmm, hist, obs).free_vector()
+        g = elbo_mod.grad_theta(hmm, hist, obs)[free]
         worst_theta = max(worst_theta,
                           max_grad_error(g, finite_diff_grad(f_theta, free0)))
 

@@ -3,6 +3,7 @@ determinism, comparison reports, the gradient-check harness, and exit codes."""
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -497,9 +498,14 @@ def test_gradcheck_catches_a_sign_error_in_the_kernel(tmp_path, monkeypatch,
 
 
 def test_gradcheck_guard_exits_2(tmp_path):
-    cfgp = write_json(tmp_path / "g.json", {"K": 10, "tau": 10, "instances": 1})
-    assert run(["gradcheck", "--config", cfgp, "--out", str(tmp_path),
-                "--quiet"]) == 2
+    # K^tau is never formed in full: 3^(10^8) alone would take minutes
+    for doc in ({"K": 10, "tau": 10, "instances": 1},
+                {"K": 3, "tau": 100000000}):
+        cfgp = write_json(tmp_path / "g.json", doc)
+        t0 = time.perf_counter()
+        assert run(["gradcheck", "--config", cfgp, "--out", str(tmp_path),
+                    "--quiet"]) == 2
+        assert time.perf_counter() - t0 < 5.0
 
 
 def test_gradcheck_seed_flag_overrides(tmp_path):

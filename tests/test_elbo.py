@@ -8,13 +8,11 @@ from vfe_stream.elbo import (
     finish,
     grad_psi,
     grad_theta,
-    params_free_vector,
-    params_from_free,
-    params_vector,
     scratch_summaries,
     step_inputs,
     step_summaries,
 )
+from vfe_stream.kernel import params_vector, theta_free, theta_rows
 from vfe_stream.mfa import MfaFamily, MfaHistory, augment, full_q
 from vfe_stream.model import (
     ConstraintError,
@@ -37,6 +35,7 @@ from helpers import (
     block_psi_gradient,
     block_psi_gradient_first,
     dense_u_step,
+    free_theta,
     near_identity_params,
     random_hmm,
     random_obs,
@@ -146,11 +145,16 @@ def test_elbo_bounded_by_evidence():
 def test_params_free_round_trip():
     space = StateSpace(3, 2)
     p = ModelParams.random(space, seed=1)
-    v = params_free_vector(p)
-    assert v.shape == (3 * 1 + 3 * 2,)
-    p2 = params_from_free(space, v)
+    theta = params_vector(p)
+    assert theta.shape == (3 * 2 + 3 * 3,)
+    assert len(theta_free(3, 2)) == 3 * 1 + 3 * 2
+    p2 = ModelParams(*theta_rows(theta, 3, 2))
     assert np.array_equal(p.alpha_tilde, p2.alpha_tilde)
     assert np.array_equal(p.beta_tilde, p2.beta_tilde)
+    x0, free, params_at = free_theta(p)
+    p3 = params_at(x0)
+    assert np.array_equal(p.alpha_tilde, p3.alpha_tilde)
+    assert np.array_equal(p.beta_tilde, p3.beta_tilde)
 
 
 def test_grad_theta_k1_zero_dimensional():
@@ -158,8 +162,8 @@ def test_grad_theta_k1_zero_dimensional():
     h = MfaHistory(np.zeros(1))
     augment(h, "uniform")
     g = grad_theta(hmm, h, [1, 1])
-    assert g.free_vector().shape == (0,)
-    assert np.all(g.dalpha == 0.0) and np.all(g.dbeta == 0.0)
+    assert g.shape == (2,) and theta_free(1, 1) == ()
+    assert np.all(g == 0.0)
 
 
 def test_grad_theta_hand_case():
@@ -168,10 +172,10 @@ def test_grad_theta_hand_case():
     params = ModelParams(alpha_tilde=np.zeros((2, 2)), beta_tilde=np.zeros((2, 2)))
     hmm = build_hmm([0.5, 0.5], params)
     h = MfaHistory(np.zeros(2))
-    g = grad_theta(hmm, h, [1])
-    assert abs(g.dalpha[0, 1] - (-0.25)) < 1e-12
-    assert np.all(g.dalpha[:, 0] == 0.0)
-    assert np.all(g.dbeta == 0.0)
+    dalpha, dbeta = theta_rows(grad_theta(hmm, h, [1]), 2, 2)
+    assert abs(dalpha[0, 1] - (-0.25)) < 1e-12
+    assert np.all(dalpha[:, 0] == 0.0)
+    assert np.all(dbeta == 0.0)
 
 
 def test_grad_theta_matches_finite_differences():
@@ -180,14 +184,12 @@ def test_grad_theta_matches_finite_differences():
         hmm = random_hmm(K, 2, seed)
         obs = random_obs(2, 4, seed)
         h = random_history(K, 4, seed)
-        space = StateSpace(K, 2)
-        free0 = params_free_vector(hmm.params)
+        free0, free, params_at = free_theta(hmm.params)
 
         def f(vec):
-            p = params_from_free(space, vec)
-            return elbo_recursive(build_hmm(hmm.mu, p), h, obs)[0]
+            return elbo_recursive(build_hmm(hmm.mu, params_at(vec)), h, obs)[0]
 
-        analytic = grad_theta(hmm, h, obs).free_vector()
+        analytic = grad_theta(hmm, h, obs)[free]
         assert max_grad_error(analytic, finite_diff_grad(f, free0)) <= 1.0
 
 
@@ -195,8 +197,10 @@ def test_grad_theta_pinned_coordinates_exactly_zero():
     hmm = random_hmm(3, 3, 2)
     h = random_history(3, 3, 2)
     g = grad_theta(hmm, h, random_obs(3, 3, 2))
-    assert np.all(g.dalpha[:, 0] == 0.0)
-    assert np.all(g.dbeta[:, 0] == 0.0)
+    dalpha, dbeta = theta_rows(g, 3, 3)
+    assert np.all(dalpha[:, 0] == 0.0)
+    assert np.all(dbeta[:, 0] == 0.0)
+    assert np.count_nonzero(g) == len(theta_free(3, 3))
 
 
 def test_grad_psi_tau1_matches_finite_differences():
@@ -295,7 +299,6 @@ def test_streaming_manual_two_step_bit_identical():
     g = carried_gradient(s1, p[1], params_vector(hmm.params), obs[0])
     s2 = step_summaries(s1, hmm, obs[1], p[1:], log_p[1:], g)
     scratch = scratch_summaries(hmm, h, obs)
-    assert s2.t == scratch.t == 2
     for name in ("v", "g", "pi_prev", "pi", "log_pi"):
         assert np.array_equal(getattr(s2, name), getattr(scratch, name))
     assert finish(s2) == finish(scratch)
@@ -352,13 +355,11 @@ def test_contraction_matches_brute_theta_gradient():
     hmm = random_hmm(2, 2, 15)
     obs = random_obs(2, 3, 15)
     h = random_history(2, 3, 15)
-    space = StateSpace(2, 2)
-    free0 = params_free_vector(hmm.params)
+    free0, free, params_at = free_theta(hmm.params)
 
     def f(vec):
-        p = params_from_free(space, vec)
-        h2 = build_hmm(hmm.mu, p)
+        h2 = build_hmm(hmm.mu, params_at(vec))
         return brute_force_elbo(h2, full_q(h, MfaFamily.REVERSED), obs)
 
-    analytic = grad_theta(hmm, h, obs).free_vector()
+    analytic = grad_theta(hmm, h, obs)[free]
     assert max_grad_error(analytic, finite_diff_grad(f, free0)) <= 1.0

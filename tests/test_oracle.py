@@ -6,6 +6,7 @@ from vfe_stream.oracle import (
     ENUMERATION_GUARD,
     GuardError,
     brute_force_elbo,
+    check_enumeration,
     enumerate_log_joint,
     enumerate_posterior,
     finite_diff_grad,
@@ -164,6 +165,13 @@ def test_enumeration_guard():
     with pytest.raises(GuardError):
         enumerate_posterior(hmm, [1] * 21)  # 2^21 > 10^6
     assert ENUMERATION_GUARD == 10**6
+    # the boundaries: 10^6 and 2^19 pass, 10^7 and 2^20 refuse, and K = 1
+    # passes at any tau without 1^tau being formed
+    for K, tau in ((10, 6), (2, 19), (1, 10**8)):
+        check_enumeration(K, tau)
+    for K, tau in ((10, 7), (2, 20)):
+        with pytest.raises(GuardError):
+            check_enumeration(K, tau)
 
 
 def test_vfe_at_posterior_is_neg_evidence():

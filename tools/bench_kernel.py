@@ -1,7 +1,8 @@
 """Microbenchmark of the kernel's two ascent loops and the audit objective.
 
 Prints one JSON object: for each (K, M) shape, the microseconds per step of
-kernel.psi_ascent (the (2, K) revision and current belief blocks) and of
+kernel.psi_ascent (the (2, K) revision and current belief blocks; null at
+K = 1, where every belief coordinate is pinned and no step is taken) and of
 kernel.theta_ascent (the K*M + K*K parameter vector); and for each (K, tau)
 in AUDIT_SHAPES, the milliseconds per elbo.elbo_recursive call on a seeded
 history with revisions.  The history group gives the milliseconds per
@@ -96,10 +97,12 @@ def bench_shape(K: int, M: int) -> dict:
                               _pinned(rng, K, K).ravel()])
     pa, pb = rng.dirichlet(np.ones(K)), rng.dirichlet(np.ones(K))
     o_idx = M - 1
-    psi = _us_per_step(lambda: kernel.psi_ascent(x, W, G, STEPS, 0.1))
+    # at K = 1 every belief coordinate is pinned and psi_ascent takes no step
+    psi = None if K == 1 else round(
+        _us_per_step(lambda: kernel.psi_ascent(x, W, G, STEPS, 0.1)), 2)
     theta_us = _us_per_step(
         lambda: kernel.theta_ascent(theta, g, pa, pb, o_idx, STEPS, 1e-3))
-    return {"K": K, "M": M, "psi_us_per_step": round(psi, 2),
+    return {"K": K, "M": M, "psi_us_per_step": psi,
             "theta_us_per_step": round(theta_us, 2)}
 
 

@@ -13,7 +13,9 @@ files it wrote:
 - k2-600-reference: the same data, fitted with `"oracle": "reference"`;
 - compare: a 4-candidate `compare` on that data, with off, self and reference
   candidates;
-- gradcheck: the default `gradcheck` and one at K = 3, M = 2, tau = 6.
+- gradcheck: the default `gradcheck`, one at K = 3, M = 2, tau = 6, one at
+  K = 1, M = 3, tau = 4 (no free transition coordinate) and one at K = 2,
+  M = 1, tau = 5 (no free emission coordinate).
 
 Every path handed to the CLI is relative to OUT_DIR, so no report names the
 directory it was written to.  Exit codes go to exits.txt.  The whole run
@@ -91,7 +93,9 @@ def golden_outputs() -> None:
     ]})
     _run("compare", "--config", cfg, "--data", data, "--out", "compare")
 
-    for name, doc in (("default", {}), ("k3", {"K": 3, "M": 2, "tau": 6})):
+    for name, doc in (("default", {}), ("k3", {"K": 3, "M": 2, "tau": 6}),
+                      ("k1", {"K": 1, "M": 3, "tau": 4}),
+                      ("m1", {"K": 2, "M": 1, "tau": 5})):
         cfg = _write_json(os.path.join("gradcheck", f"{name}.json"),
                           {**doc, "out": {"report": f"{name}-report.json"}})
         _run("gradcheck", "--config", cfg, "--out", "gradcheck")
